@@ -95,9 +95,6 @@ Fleet::Fleet(std::vector<HostSpec> specs, FleetConfig cfg)
 
 std::unique_ptr<Fleet::Node> Fleet::make_node(const HostSpec& spec,
                                               int index) {
-  auto node = std::make_unique<Node>();
-  node->id = spec.host + "#" + std::to_string(index);
-  node->spec = spec;
   std::string scratch = spec.workdir;
   if (scratch.empty()) {
     // Localhost nodes scratch under the supervisor's checkpoint directory
@@ -107,8 +104,10 @@ std::unique_ptr<Fleet::Node> Fleet::make_node(const HostSpec& spec,
                   ? cfg_.scratch_root + "/node" + std::to_string(index)
                   : "/tmp/dnnfi_fleet/node" + std::to_string(index);
   }
-  node->transport = std::make_unique<RemoteTransport>(spec.host, scratch);
-  return node;
+  return std::make_unique<Node>(
+      Node{.id = spec.host + "#" + std::to_string(index),
+           .spec = spec,
+           .transport = WorkerTransport(spec.host, scratch)});
 }
 
 Fleet::Node* Fleet::acquire(const std::string& avoid) {

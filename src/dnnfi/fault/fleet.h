@@ -77,7 +77,7 @@ class Fleet {
   struct Node {
     std::string id;        ///< "host#i" — unique even with duplicate names
     HostSpec spec;
-    std::unique_ptr<WorkerTransport> transport;
+    WorkerTransport transport;
     int busy = 0;               ///< slots currently running workers
     int fail_streak = 0;        ///< consecutive failed attempts
     int quarantine_count = 0;   ///< times quarantined (drives backoff)

@@ -68,7 +68,7 @@ struct Worker {
   int fd = -1;  ///< nonblocking worker->supervisor fd; -1 once EOF
   Task task;
   Fleet::Node* node = nullptr;  ///< owning fleet node; nullptr in local mode
-  WorkerChannel channel{false};
+  WorkerChannel channel;
   std::string ckpt_path;  ///< supervisor-side checkpoint for this shard
   std::string log_path;   ///< per-shard stderr log ("" = inherited stderr)
   TimePoint started{};
@@ -88,7 +88,9 @@ struct Completed {
 
 class Supervisor {
  public:
-  explicit Supervisor(const SupervisorOptions& opt) : opt_(opt) {}
+  explicit Supervisor(const SupervisorOptions& opt)
+      : opt_(opt),
+        local_transport_("localhost", opt.checkpoint_dir + "/local") {}
 
   Expected<SupervisorReport> run() {
     if (opt_.trials == 0)
@@ -111,6 +113,9 @@ class Supervisor {
                                  opt_.checkpoint_dir + "/logs: " +
                                  ec.message());
     target_workers_ = opt_.workers;
+    // Init frames to workers that die instantly surface as EPIPE write
+    // errors, not process death.
+    signal(SIGPIPE, SIG_IGN);
 
     if (!opt_.hosts.empty() || !opt_.hosts_file.empty()) {
       auto specs = opt_.hosts_file.empty()
@@ -123,9 +128,6 @@ class Supervisor {
       fc.quarantine_cap_s = opt_.quarantine_cap_s;
       fc.scratch_root = opt_.checkpoint_dir;
       fleet_.emplace(std::move(specs).value(), fc);
-      // Init frames to workers that die instantly surface as EPIPE write
-      // errors, not process death.
-      signal(SIGPIPE, SIG_IGN);
       log("fleet: " + std::to_string(fleet_->nodes().size()) + " host(s), " +
           std::to_string(fleet_->total_slots()) + " slot(s)");
     }
@@ -173,7 +175,7 @@ class Supervisor {
   /// resumed implicitly when their range is rescheduled under the same
   /// deterministic file name. A corrupt or version-skewed file is fatal —
   /// atomic writes mean it cannot be a torn write, so something real is
-  /// wrong with the directory. (Node scratch subdirectories are not
+  /// wrong with the directory. (Worker scratch subdirectories are not
   /// scanned: the iteration is non-recursive by design.)
   Expected<void> scan_checkpoint_dir() {
     std::optional<std::uint64_t> fingerprint;
@@ -312,43 +314,37 @@ class Supervisor {
 
   Expected<void> launch_ready() {
     while (!ready_.empty()) {
-      if (!fleet_) {
-        if (active_.size() >= static_cast<std::size_t>(target_workers_)) break;
-        Task task = ready_.front();
-        ready_.pop_front();
-        if (auto spawned = launch(task, nullptr); !spawned.ok()) {
-          // fork/pipe/exec-level failure: count toward degradation and
-          // retry the task through the normal backoff path.
-          note_resource_failure("launch failure for shard " +
-                                range_str(task.begin, task.end));
-          if (auto handled = handle_failure(
-                  task, Error{Errc::kWorkerCrash, "could not launch worker"});
-              !handled.ok())
-            return handled.error();
-        }
-        continue;
+      Fleet::Node* node = nullptr;
+      if (fleet_) {
+        // A slot must be available; prefer a node other than the one the
+        // shard last failed on (retry-elsewhere).
+        node = fleet_->acquire(ready_.front().last_node);
+        if (node == nullptr) break;
+      } else if (active_.size() >= static_cast<std::size_t>(target_workers_)) {
+        break;
       }
-      // Fleet mode: a slot must be available; prefer a node other than the
-      // one the shard last failed on (retry-elsewhere).
-      Fleet::Node* node = fleet_->acquire(ready_.front().last_node);
-      if (node == nullptr) break;
       Task task = ready_.front();
       ready_.pop_front();
       auto spawned = launch(task, node);
-      if (!spawned.ok()) {
-        note_host_release(*node, /*success=*/false);
-        log("spawn on " + node->id + " failed: " +
-            spawned.error().to_string());
-        if (auto handled = handle_failure(task, spawned.error());
-            !handled.ok())
-          return handled.error();
-      }
+      if (spawned.ok()) continue;
+      // fork/pipe/exec-level failure: the host's health takes the blame in
+      // fleet mode, local concurrency degrades otherwise; either way the
+      // task retries through the normal backoff path.
+      log("spawn of shard " + range_str(task.begin, task.end) + " on " +
+          (node != nullptr ? node->id : local_transport_.host()) +
+          " failed: " + spawned.error().to_string());
+      if (node != nullptr)
+        note_host_release(node, /*success=*/false);
+      else
+        note_resource_failure("launch failure");
+      if (auto handled = handle_failure(task, spawned.error()); !handled.ok())
+        return handled.error();
     }
     return {};
   }
 
-  /// Starts `task` on `node` (fleet mode) or on the classic local
-  /// transport (node == nullptr). On success the worker joins active_.
+  /// Starts `task` on `node` (fleet mode) or on this host's transport
+  /// (node == nullptr). On success the worker joins active_.
   Expected<void> launch(const Task& task, Fleet::Node* node) {
     WorkerSpawn spawn;
     spawn.binary = opt_.binary;
@@ -360,11 +356,11 @@ class Supervisor {
                        std::to_string(task.begin) + "_" +
                        std::to_string(task.end) + ".log";
 
-    // Fleet workers checkpoint on their own node; resume state travels in
-    // the init frame from the supervisor's durable copy (landed by a prior
-    // attempt on any host). Local workers read the shared file themselves.
+    // Workers checkpoint in their transport's scratch directory; resume
+    // state travels in the init frame from the supervisor's durable copy
+    // (landed by a prior attempt on any host, or left by an earlier run).
     std::vector<std::uint8_t> resume_bytes;
-    if (node != nullptr && std::filesystem::exists(spawn.checkpoint)) {
+    if (std::filesystem::exists(spawn.checkpoint)) {
       auto bytes = read_checkpoint_bytes(spawn.checkpoint);
       if (bytes.ok()) {
         resume_bytes = std::move(bytes).value();
@@ -377,8 +373,7 @@ class Supervisor {
     }
 
     WorkerTransport& transport =
-        node != nullptr ? *node->transport
-                        : static_cast<WorkerTransport&>(local_transport_);
+        node != nullptr ? node->transport : local_transport_;
     auto handle = transport.spawn(spawn);
     if (!handle.ok()) return handle.error();
 
@@ -387,7 +382,6 @@ class Supervisor {
     w.fd = handle.value().rx;
     w.task = task;
     w.node = node;
-    w.channel = WorkerChannel(transport.framed());
     w.ckpt_path = spawn.checkpoint;
     w.log_path = spawn.stderr_log;
     w.started = w.last_beat = Clock::now();
@@ -432,7 +426,9 @@ class Supervisor {
 
   /// Wakeup bound: soonest of worker deadlines, backoff expiries, and
   /// fleet quarantine releases, clamped to [10, 200] ms so reaping and
-  /// cancellation stay responsive.
+  /// cancellation stay responsive. A worker whose channel is at EOF is
+  /// exiting but may not be reapable yet; poll again in 1 ms rather than
+  /// sleep through its exit.
   int next_wakeup_ms() const {
     double soonest = 0.2;
     const TimePoint now = Clock::now();
@@ -440,6 +436,7 @@ class Supervisor {
       return std::chrono::duration<double>(tp - now).count();
     };
     for (const Worker& w : active_) {
+      if (w.fd < 0) return 1;
       soonest = std::min(
           soonest, until(w.last_beat + to_duration(opt_.heartbeat_timeout_s)));
       if (opt_.shard_timeout_s > 0)
@@ -459,10 +456,9 @@ class Supervisor {
         std::chrono::duration<double>(seconds));
   }
 
-  /// Reads everything the worker's channel holds, decoding beats (and, on
-  /// framed channels, shipped checkpoints). Short reads and EINTR are
-  /// retried by the io layer — a signal landing mid-read must not drop a
-  /// beat. Structural damage poisons the worker: it is SIGKILLed and its
+  /// Reads everything the worker's channel holds, decoding beats and
+  /// shipped checkpoints. Short reads and EINTR are retried by the io
+  /// layer — a signal landing mid-read must not drop a beat. Structural damage poisons the worker: it is SIGKILLed and its
   /// exit is classified kTransport / kCheckpointShip (both retryable, on
   /// another host when one exists).
   void drain(Worker& w) {
@@ -594,16 +590,18 @@ class Supervisor {
     return {};
   }
 
-  /// Gives a slot back to the fleet and narrates a tripped quarantine.
-  void note_host_release(Fleet::Node& node, bool success) {
-    const ReleaseOutcome out = fleet_->release(node, success);
+  /// Gives a slot back to the fleet (no-op for local workers, node ==
+  /// nullptr) and narrates a tripped quarantine.
+  void note_host_release(Fleet::Node* node, bool success) {
+    if (node == nullptr) return;
+    const ReleaseOutcome out = fleet_->release(*node, success);
     if (out.quarantined) {
       ++report_.host_quarantines;
-      log("host " + node.id + " quarantined for " +
+      log("host " + node->id + " quarantined for " +
           std::to_string(out.quarantine_s) + "s after " +
           std::to_string(opt_.host_fail_limit) +
           " consecutive failures (quarantine #" +
-          std::to_string(node.quarantine_count) + ")");
+          std::to_string(node->quarantine_count) + ")");
     }
   }
 
@@ -626,18 +624,18 @@ class Supervisor {
 
     if (!w.channel_corrupt && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
       // Trust but verify: the shard is only done if its checkpoint says
-      // so. In fleet mode the verified copy is the supervisor-side one the
-      // worker shipped — a worker whose final ship never landed retries.
+      // so. The verified copy is the supervisor-side one the worker
+      // shipped — a worker whose final ship never landed retries.
       auto loaded = try_load_shard_checkpoint(w.ckpt_path);
       if (loaded.ok() && loaded.value().complete) {
         completed_.push_back(Completed{task.begin, task.end, w.ckpt_path});
         resource_failure_streak_ = 0;
-        if (w.node != nullptr) note_host_release(*w.node, /*success=*/true);
+        note_host_release(w.node, /*success=*/true);
         log("shard " + range_str(task.begin, task.end) + " complete (" +
             std::to_string(w.trials_done) + " trials this attempt)");
         return {};
       }
-      if (w.node != nullptr) note_host_release(*w.node, /*success=*/false);
+      note_host_release(w.node, /*success=*/false);
       log_failure_tail(w);
       return handle_failure(
           task, Error{Errc::kIo,
@@ -667,7 +665,7 @@ class Supervisor {
       if (err.code == Errc::kOutOfMemory && !fleet_)
         note_resource_failure("worker out-of-memory");
     }
-    if (w.node != nullptr) note_host_release(*w.node, /*success=*/false);
+    note_host_release(w.node, /*success=*/false);
     log_failure_tail(w);
     return handle_failure(task, err);
   }
@@ -763,8 +761,8 @@ class Supervisor {
   }
 
   /// SIGTERM the workers and wait for the graceful exits (each finishes
-  /// its in-flight batch and checkpoints — fleet workers ship that final
-  /// batch home first); stragglers past the grace period are SIGKILLed.
+  /// its in-flight batch, checkpoints, and ships that final batch home);
+  /// stragglers past the grace period are SIGKILLed.
   /// At most one batch per worker is lost, and a later `supervise`
   /// resumes from the same directory.
   Expected<SupervisorReport> shutdown_cancelled() {
@@ -888,8 +886,8 @@ class Supervisor {
   int target_workers_ = 1;
   int resource_failure_streak_ = 0;
 
-  LocalTransport local_transport_;  ///< classic single-host path
-  std::optional<Fleet> fleet_;      ///< engaged by --hosts / --hosts-file
+  WorkerTransport local_transport_;  ///< --workers path: <ckpt-dir>/local
+  std::optional<Fleet> fleet_;       ///< engaged by --hosts / --hosts-file
 
   std::deque<Task> ready_;
   std::vector<Task> waiting_;

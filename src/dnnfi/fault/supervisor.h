@@ -3,9 +3,11 @@
 //
 // The supervisor partitions [0, trials) into shards and fork/execs one
 // `dnnfi_campaign worker` process per shard (the same binary in a hidden
-// mode). Each worker streams heartbeats — an 8-byte little-endian count of
-// completed trials per batch — over an inherited pipe, and persists a
-// shard checkpoint after every batch. The supervisor:
+// mode). Each worker keeps a shard checkpoint in a scratch directory
+// (`<checkpoint_dir>/local`) and, after every batch, sends a heartbeat and
+// that checkpoint's image back over the framed wire of fault/transport.h;
+// the supervisor lands the image in the checkpoint directory. The
+// supervisor:
 //
 //   launch    — up to `workers` concurrent subprocesses, one shard each;
 //   watchdog  — SIGKILLs a worker that misses its heartbeat deadline or
@@ -13,7 +15,7 @@
 //   retry     — relaunches failed shards with exponential backoff plus
 //               deterministic jitter, up to `max_attempts` per range. A
 //               relaunched worker resumes from the shard's checkpoint, so
-//               a crash loses at most one checkpoint batch;
+//               a crash loses at most one shipped batch;
 //   bisect    — a range that exhausts its attempts is split in half and
 //               each half re-queued; repeated failures converge on the
 //               single poison trial, which is *quarantined* (recorded in
@@ -37,17 +39,17 @@
 // checkpoint directory. On startup the directory is scanned; complete
 // shard checkpoints count as coverage, gaps are (re)scheduled with
 // deterministic names (`shard_<begin>_<end>.ckpt`), and an incomplete
-// checkpoint for a rescheduled range is resumed by its worker. `kill -9`
-// of the supervisor or any worker therefore loses at most one checkpoint
-// batch of work. See DESIGN.md §9.
+// checkpoint for a rescheduled range is shipped to its worker in the init
+// frame and resumed. `kill -9` of the supervisor or any worker therefore
+// loses at most one batch of work; a worker orphaned by a dead supervisor
+// sees its next frame write fail, checkpoints, and exits. See DESIGN.md §9.
 //
-// Fleet mode (--hosts / --hosts-file) generalizes the worker wire through
-// fault/transport.h: workers run on member hosts over framed stdin/stdout
-// channels, ship their checkpoints back to the supervisor's directory after
-// every batch, and a shard whose host dies is relaunched on a healthy host
-// resuming from the last shipped batch (retry-elsewhere). Host health is
-// tracked per node with exponential-backoff quarantine, and membership is
-// elastic via SIGHUP-triggered hosts-file reloads. See DESIGN.md §13.
+// Fleet mode (--hosts / --hosts-file) runs the same wire to member hosts
+// (ssh for remote ones, a private scratch directory for each localhost
+// node): a shard whose host dies is relaunched on a healthy host resuming
+// from the last shipped batch (retry-elsewhere). Host health is tracked
+// per node with exponential-backoff quarantine, and membership is elastic
+// via SIGHUP-triggered hosts-file reloads. See DESIGN.md §13.
 #pragma once
 
 #include <atomic>
@@ -65,7 +67,7 @@ struct SupervisorOptions {
   std::string binary;
   /// Campaign-defining flags forwarded verbatim to every worker
   /// (--network, --dtype, --trials, --seed, ...). The supervisor appends
-  /// the per-shard --shard/--checkpoint/--heartbeat-fd flags itself.
+  /// the per-shard --shard/--checkpoint flags itself.
   std::vector<std::string> worker_flags;
 
   std::uint64_t trials = 0;       ///< whole-campaign trial count
@@ -92,11 +94,10 @@ struct SupervisorOptions {
   // ---- fleet mode (multi-node campaigns; DESIGN.md §13) ------------------
 
   /// Comma-separated `host:slots[:workdir]` fleet members. Non-empty turns
-  /// on fleet mode: every worker runs over a framed RemoteTransport (ssh
-  /// for real hosts, direct exec with a private scratch dir for localhost
-  /// entries) and ships its checkpoint back after every batch. Empty — and
-  /// hosts_file empty — keeps the classic single-host fork/exec path,
-  /// bit-for-bit identical to the pre-fleet supervisor.
+  /// on fleet mode: workers run on the member hosts (ssh for real hosts,
+  /// direct exec with a private scratch dir for localhost entries), with
+  /// per-host health and retry-elsewhere. Empty — and hosts_file empty —
+  /// runs `workers` workers on this host.
   std::string hosts;
   /// Hosts file: one `host:slots[:workdir]` per line, `#` comments. Takes
   /// precedence over `hosts`, and is re-read whenever *reload_hosts reads
@@ -134,9 +135,10 @@ struct SupervisorReport {
   int bisections = 0;
   int degradations = 0;     ///< times concurrency was halved
 
+  int checkpoints_shipped = 0;  ///< checkpoint frames landed in --ckpt-dir
+
   // Fleet-mode telemetry (all zero in single-host mode).
   int retries_elsewhere = 0;    ///< failed shards relaunched on another host
-  int checkpoints_shipped = 0;  ///< checkpoint frames landed in --ckpt-dir
   int host_quarantines = 0;     ///< times a host was benched for its streak
 };
 

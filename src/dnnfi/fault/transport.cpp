@@ -51,10 +51,7 @@ std::string path_leaf(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-}  // namespace
-
-// ---- hardened low-level I/O ----------------------------------------------
-
+/// write(2) until every byte is out; loops on EINTR and short writes.
 Expected<void> io_write_full(int fd, const std::uint8_t* data, std::size_t n) {
   std::size_t off = 0;
   while (off < n) {
@@ -67,6 +64,24 @@ Expected<void> io_write_full(int fd, const std::uint8_t* data, std::size_t n) {
   }
   return {};
 }
+
+/// Single-quotes a string for a POSIX shell (ssh joins the command words
+/// and hands them to the remote shell).
+std::string shell_quote(const std::string& s) {
+  std::string out = "'";
+  for (const char c : s) {
+    if (c == '\'')
+      out += "'\\''";
+    else
+      out += c;
+  }
+  out += "'";
+  return out;
+}
+
+}  // namespace
+
+// ---- hardened low-level I/O ----------------------------------------------
 
 Expected<long> io_read_chunk(int fd, std::uint8_t* buf, std::size_t n) {
   while (true) {
@@ -165,27 +180,6 @@ Expected<std::optional<std::vector<std::uint8_t>>> read_init_frame(int fd) {
 
 Expected<void> WorkerChannel::feed(const std::uint8_t* data, std::size_t n,
                                    std::vector<ChannelEvent>& out) {
-  if (!framed_) {
-    // Legacy dialect: a stream of 8-byte little-endian counters. A beat can
-    // arrive split across reads; stash the incomplete tail.
-    partial_.insert(partial_.end(), data, data + n);
-    std::size_t consumed = 0;
-    while (partial_.size() - consumed >= 8) {
-      const std::uint8_t* b = partial_.data() + consumed;
-      std::uint64_t done = 0;
-      for (int i = 0; i < 8; ++i)
-        done |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-      ChannelEvent ev;
-      ev.kind = ChannelEvent::Kind::kBeat;
-      ev.done = done;
-      out.push_back(std::move(ev));
-      consumed += 8;
-    }
-    partial_.erase(partial_.begin(),
-                   partial_.begin() + static_cast<std::ptrdiff_t>(consumed));
-    return {};
-  }
-
   decoder_.feed(data, n);
   while (true) {
     auto parsed = decoder_.next();
@@ -221,84 +215,19 @@ Expected<void> WorkerChannel::feed(const std::uint8_t* data, std::size_t n,
   }
 }
 
-// ---- LocalTransport ------------------------------------------------------
-
-Expected<WorkerHandle> LocalTransport::spawn(const WorkerSpawn& s) {
-  int fds[2];
-  if (pipe(fds) != 0) return transport_errno("pipe failed");
-  // Heartbeat read ends must not leak into other workers (a surviving
-  // duplicate write end would defeat EOF detection and hold fds open).
-  fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-
-  std::vector<std::string> args;
-  args.push_back(s.binary);
-  args.push_back("worker");
-  for (const auto& f : s.flags) args.push_back(f);
-  args.push_back("--shard");
-  args.push_back(std::to_string(s.begin) + ":" + std::to_string(s.end));
-  args.push_back("--checkpoint");
-  args.push_back(s.checkpoint);
-  args.push_back("--heartbeat-fd");
-  args.push_back(std::to_string(fds[1]));
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return transport_errno("fork failed");
-  }
-  if (pid == 0) {
-    // Child: exec the worker; 127 signals "could not even start".
-    close(fds[0]);
-    if (!s.stderr_log.empty()) {
-      const int lfd =
-          open(s.stderr_log.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (lfd >= 0) {
-        dup2(lfd, 2);
-        if (lfd != 2) close(lfd);
-      }
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(s.binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-  fcntl(fds[0], F_SETFL, O_NONBLOCK);
-
-  WorkerHandle h;
-  h.pid = pid;
-  h.rx = fds[0];
-  return h;
-}
-
-// ---- RemoteTransport -----------------------------------------------------
+// ---- WorkerTransport -----------------------------------------------------
 
 bool is_local_host(const std::string& host) {
   return host == "localhost" || host == "local" || host == "127.0.0.1" ||
          host == "::1";
 }
 
-std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'')
-      out += "'\\''";
-    else
-      out += c;
-  }
-  out += "'";
-  return out;
-}
-
-RemoteTransport::RemoteTransport(std::string host, std::string scratch_dir)
+WorkerTransport::WorkerTransport(std::string host, std::string scratch_dir)
     : host_(std::move(host)),
       scratch_(std::move(scratch_dir)),
       direct_(is_local_host(host_)) {}
 
-Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
+Expected<WorkerHandle> WorkerTransport::spawn(const WorkerSpawn& s) {
   // The worker keeps its checkpoint on its own node; only the leaf of the
   // supervisor-side path survives, rehomed into this node's scratch dir.
   const std::string worker_ckpt = scratch_ + "/" + path_leaf(s.checkpoint);
@@ -311,7 +240,6 @@ Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
   words.push_back(std::to_string(s.begin) + ":" + std::to_string(s.end));
   words.push_back("--checkpoint");
   words.push_back(worker_ckpt);
-  words.push_back("--frame-io");
 
   // The exec'd argv: the worker command directly for localhost nodes, or an
   // ssh client carrying the shell-quoted command for real remote hosts.
@@ -334,17 +262,17 @@ Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
     args.push_back(std::move(command));
   }
 
+  // Every pipe end is close-on-exec, so none leaks into this or a sibling
+  // worker; the child's stdin/stdout are dup2'd copies, which do not
+  // inherit the flag.
   int to_worker[2];   // supervisor -> worker stdin (init frame)
   int from_worker[2]; // worker stdout -> supervisor (beats + checkpoints)
-  if (pipe(to_worker) != 0) return transport_errno("pipe failed");
-  if (pipe(from_worker) != 0) {
+  if (pipe2(to_worker, O_CLOEXEC) != 0) return transport_errno("pipe failed");
+  if (pipe2(from_worker, O_CLOEXEC) != 0) {
     close(to_worker[0]);
     close(to_worker[1]);
     return transport_errno("pipe failed");
   }
-  // Parent-kept ends must not leak into sibling workers.
-  fcntl(to_worker[1], F_SETFD, FD_CLOEXEC);
-  fcntl(from_worker[0], F_SETFD, FD_CLOEXEC);
 
   const pid_t pid = fork();
   if (pid < 0) {
@@ -359,10 +287,6 @@ Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
     // through an ssh hop.
     dup2(to_worker[0], 0);
     dup2(from_worker[1], 1);
-    close(to_worker[0]);
-    close(to_worker[1]);
-    close(from_worker[0]);
-    close(from_worker[1]);
     if (!s.stderr_log.empty()) {
       const int lfd =
           open(s.stderr_log.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);

@@ -1,23 +1,16 @@
-// Pluggable worker transports for the campaign supervisor.
+// The worker wire of the campaign supervisor.
 //
-// PR 5's supervisor fork/execs workers on the local host and watches them
-// over a raw pipe carrying 8-byte little-endian heartbeats. This header
-// generalizes that wire into a `WorkerTransport`:
-//
-//   LocalTransport  — today's fork/exec path, bit-for-bit: same argv, same
-//                     raw --heartbeat-fd pipe, worker checkpoints written
-//                     straight into the shared --ckpt-dir.
-//   RemoteTransport — workers spawned on another host (ssh, or exec'd
-//                     directly when the host is localhost — the multi-node-
-//                     on-one-machine test configuration). The worker runs
-//                     in `--frame-io` mode: the supervisor ships a resume
-//                     checkpoint down the worker's stdin at spawn, and the
-//                     worker's stdout carries heartbeats AND its checkpoint
-//                     file image back after every batch, as length-prefixed
-//                     CRC-checked frames. The supervisor lands each shipped
-//                     image atomically in --ckpt-dir, so retry-elsewhere can
-//                     resume a dead host's shard on a healthy one from the
-//                     last shipped batch.
+// Every supervised worker — on this host or on a fleet member — runs
+// `dnnfi_campaign worker` and talks to the supervisor over one protocol:
+// the supervisor ships a resume checkpoint (or "start fresh") down the
+// worker's stdin at spawn, and the worker's stdout carries heartbeats AND
+// its checkpoint file image back after every batch, as length-prefixed
+// CRC-checked frames. The worker keeps its own checkpoint in a scratch
+// directory; the supervisor lands each shipped image atomically in
+// --ckpt-dir, so a relaunched attempt — on any host — resumes from the
+// last shipped batch. `WorkerTransport` spawns one worker: exec'd directly
+// for localhost (the supervisor's own --workers and localhost fleet
+// nodes), or through ssh for a remote host.
 //
 // Frame layout (little-endian):
 //
@@ -42,7 +35,7 @@
 //
 // All reads and writes here loop on EINTR and short transfers (write(2) to
 // a pipe is not atomic past PIPE_BUF; read(2) returns early at buffer
-// boundaries). The raw-beat dialect tolerates arbitrary fragmentation for
+// boundaries), and the frame decoder tolerates arbitrary fragmentation for
 // the same reason. See DESIGN.md §13.
 #pragma once
 
@@ -59,11 +52,6 @@
 namespace dnnfi::fault {
 
 // ---- hardened low-level I/O ----------------------------------------------
-
-/// write(2) until every byte is out; loops on EINTR and short writes.
-/// kTransport on a hard error (EPIPE included — callers that tolerate a
-/// dead peer check the message, not errno).
-Expected<void> io_write_full(int fd, const std::uint8_t* data, std::size_t n);
 
 /// One read(2) retried on EINTR. Returns bytes read, 0 on EOF, or -1 when
 /// the (nonblocking) fd has nothing now. kTransport on a hard error.
@@ -111,7 +99,8 @@ class FrameDecoder {
   std::size_t pos_ = 0;  ///< consumed prefix; compacted between feeds
 };
 
-/// Encodes and writes one frame. kTransport on failure.
+/// Encodes and writes one frame, looping on EINTR and short writes.
+/// kTransport on failure (EPIPE included: the peer is gone).
 Expected<void> send_frame(int fd, FrameType type, const std::uint8_t* payload,
                           std::size_t n);
 
@@ -122,7 +111,7 @@ Expected<std::optional<std::vector<std::uint8_t>>> read_init_frame(int fd);
 
 // ---- supervisor-side channel ---------------------------------------------
 
-/// One decoded message from a worker, dialect-independent.
+/// One decoded message from a worker.
 struct ChannelEvent {
   enum class Kind { kBeat, kCheckpoint };
   Kind kind = Kind::kBeat;
@@ -130,26 +119,20 @@ struct ChannelEvent {
   std::vector<std::uint8_t> bytes;   ///< kCheckpoint: shipped file image
 };
 
-/// Turns a worker's byte stream into events. Two wire dialects: the legacy
-/// raw 8-byte little-endian beat stream (LocalTransport) and the framed
-/// protocol (RemoteTransport). Both tolerate arbitrary fragmentation.
+/// Turns a worker's framed byte stream into events; tolerates arbitrary
+/// fragmentation.
 class WorkerChannel {
  public:
-  explicit WorkerChannel(bool framed) : framed_(framed) {}
-
   /// Decodes as many complete messages as `data` completes, appending them
-  /// to `out`. kTransport on structural damage (framed dialect only — the
-  /// raw dialect has no structure to damage).
+  /// to `out`. kTransport on structural damage.
   Expected<void> feed(const std::uint8_t* data, std::size_t n,
                       std::vector<ChannelEvent>& out);
 
  private:
-  bool framed_;
-  FrameDecoder decoder_;              // framed dialect
-  std::vector<std::uint8_t> partial_; // raw dialect: incomplete beat bytes
+  FrameDecoder decoder_;
 };
 
-// ---- transports ----------------------------------------------------------
+// ---- transport -----------------------------------------------------------
 
 /// Everything a transport needs to start one shard attempt.
 struct WorkerSpawn {
@@ -157,10 +140,10 @@ struct WorkerSpawn {
   std::vector<std::string> flags;        ///< campaign flags, forwarded as-is
   std::uint64_t begin = 0;               ///< shard range [begin, end)
   std::uint64_t end = 0;
-  std::string checkpoint;                ///< worker-side checkpoint path
+  std::string checkpoint;                ///< supervisor-side checkpoint path
   std::string stderr_log;                ///< append worker stderr here; "" = inherit
-  /// Framed transports only: checkpoint image to resume from, shipped as
-  /// the kInit frame. nullptr = start fresh (worker discards stale state).
+  /// Checkpoint image to resume from, shipped as the kInit frame.
+  /// nullptr = start fresh (the worker discards stale scratch state).
   const std::vector<std::uint8_t>* resume = nullptr;
 };
 
@@ -170,59 +153,26 @@ struct WorkerHandle {
   int rx = -1;     ///< nonblocking worker->supervisor fd (owned by caller)
 };
 
-/// How worker processes are created and wired. One transport per fleet
-/// node; the supervisor owns scheduling, deadlines, and retry policy.
-class WorkerTransport {
- public:
-  virtual ~WorkerTransport() = default;
-
-  /// Host label for logs and retry-elsewhere bookkeeping.
-  virtual const std::string& host() const noexcept = 0;
-
-  /// True when workers speak the framed dialect (and ship checkpoints).
-  virtual bool framed() const noexcept = 0;
-
-  /// Starts one worker. On success the caller owns handle.rx and must
-  /// waitpid(handle.pid). Spawn-level failures are kTransport.
-  virtual Expected<WorkerHandle> spawn(const WorkerSpawn& s) = 0;
-};
-
-/// PR-5 fork/exec on this host: raw heartbeat pipe, shared checkpoint
-/// directory, no shipping. Byte-for-byte the original supervisor path.
-class LocalTransport final : public WorkerTransport {
- public:
-  LocalTransport() : host_("local") {}
-
-  const std::string& host() const noexcept override { return host_; }
-  bool framed() const noexcept override { return false; }
-  Expected<WorkerHandle> spawn(const WorkerSpawn& s) override;
-
- private:
-  std::string host_;
-};
-
-/// Frame-mode workers on a (possibly remote) host. For `localhost`/`local`/
-/// `127.0.0.1` the worker is exec'd directly — same machine, but with its
-/// own scratch directory and the full ship-over-frames protocol, which is
-/// exactly the multi-node simulation the tests and nightly drive. Any other
+/// Spawns framed workers on one host. For `localhost`/`local`/`127.0.0.1`
+/// the worker is exec'd directly with its own scratch directory. Any other
 /// host name is reached through `ssh -oBatchMode=yes <host> <command>`, or
 /// through `$DNNFI_FLEET_SSH <host> <command>` when that variable is set
 /// (test harnesses substitute a fake; deployments substitute wrappers).
 /// The dnnfi_campaign binary must exist at the same path on the remote
 /// host; the worker creates its scratch directory itself.
-class RemoteTransport final : public WorkerTransport {
+class WorkerTransport {
  public:
-  RemoteTransport(std::string host, std::string scratch_dir);
+  WorkerTransport(std::string host, std::string scratch_dir);
 
-  const std::string& host() const noexcept override { return host_; }
-  bool framed() const noexcept override { return true; }
-  /// Worker-side checkpoint paths are rewritten into this node's scratch
-  /// directory (s.checkpoint names the supervisor-side file; only its leaf
-  /// is kept).
-  Expected<WorkerHandle> spawn(const WorkerSpawn& s) override;
+  /// Host label for logs.
+  const std::string& host() const noexcept { return host_; }
 
-  const std::string& scratch_dir() const noexcept { return scratch_; }
-  bool direct_exec() const noexcept { return direct_; }
+  /// Starts one worker and sends it the kInit frame. The worker-side
+  /// checkpoint path is rehomed into this transport's scratch directory
+  /// (only the leaf of s.checkpoint is kept). On success the caller owns
+  /// handle.rx and must waitpid(handle.pid). Spawn-level failures are
+  /// kTransport.
+  Expected<WorkerHandle> spawn(const WorkerSpawn& s);
 
  private:
   std::string host_;
@@ -232,9 +182,5 @@ class RemoteTransport final : public WorkerTransport {
 
 /// True for host names that mean "this machine, no ssh".
 bool is_local_host(const std::string& host);
-
-/// Single-quotes a string for a POSIX shell (ssh joins the command words
-/// and hands them to the remote shell).
-std::string shell_quote(const std::string& s);
 
 }  // namespace dnnfi::fault

@@ -144,33 +144,9 @@ TEST(FrameCodec, OversizedLengthAndUnknownTypeAreTransportErrors) {
   EXPECT_EQ(next2.error().code, Errc::kTransport);
 }
 
-// ---- worker channel dialects ---------------------------------------------
-
-TEST(WorkerChannel, RawBeatsSurviveArbitraryFragmentation) {
-  // The legacy dialect: 8-byte little-endian counters, split at every
-  // possible boundary (pipes do that). Every beat must be reassembled.
-  WorkerChannel ch(/*framed=*/false);
-  std::vector<std::uint8_t> wire;
-  const std::vector<std::uint64_t> beats = {1, 16, 0xDEADBEEFCAFEF00DULL, 64};
-  for (const std::uint64_t b : beats)
-    for (int i = 0; i < 8; ++i)
-      wire.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
-
-  std::vector<ChannelEvent> events;
-  for (std::size_t i = 0; i < wire.size(); i += 3) {
-    const std::size_t n = std::min<std::size_t>(3, wire.size() - i);
-    auto fed = ch.feed(wire.data() + i, n, events);
-    ASSERT_TRUE(fed.ok()) << fed.error().to_string();
-  }
-  ASSERT_EQ(events.size(), beats.size());
-  for (std::size_t i = 0; i < beats.size(); ++i) {
-    EXPECT_EQ(events[i].kind, ChannelEvent::Kind::kBeat);
-    EXPECT_EQ(events[i].done, beats[i]);
-  }
-}
+// ---- worker channel ------------------------------------------------------
 
 TEST(WorkerChannel, FramedDialectYieldsBeatsAndCheckpoints) {
-  WorkerChannel ch(/*framed=*/true);
   std::vector<std::uint8_t> wire;
   std::uint8_t beat[8] = {42, 0, 0, 0, 0, 0, 0, 0};
   const auto f1 = encode_frame(FrameType::kBeat, beat, sizeof beat);
@@ -180,19 +156,29 @@ TEST(WorkerChannel, FramedDialectYieldsBeatsAndCheckpoints) {
   wire.insert(wire.end(), f1.begin(), f1.end());
   wire.insert(wire.end(), f2.begin(), f2.end());
 
-  std::vector<ChannelEvent> events;
-  auto fed = ch.feed(wire.data(), wire.size(), events);
-  ASSERT_TRUE(fed.ok()) << fed.error().to_string();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, ChannelEvent::Kind::kBeat);
-  EXPECT_EQ(events[0].done, 42u);
-  EXPECT_EQ(events[1].kind, ChannelEvent::Kind::kCheckpoint);
-  EXPECT_EQ(events[1].bytes, image);
+  // Whole, then split at every byte and every third byte (pipes do that):
+  // the same two events must come out every time.
+  for (const std::size_t chunk :
+       {wire.size(), std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    WorkerChannel ch;
+    std::vector<ChannelEvent> events;
+    for (std::size_t i = 0; i < wire.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, wire.size() - i);
+      auto fed = ch.feed(wire.data() + i, n, events);
+      ASSERT_TRUE(fed.ok()) << fed.error().to_string();
+    }
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, ChannelEvent::Kind::kBeat);
+    EXPECT_EQ(events[0].done, 42u);
+    EXPECT_EQ(events[1].kind, ChannelEvent::Kind::kCheckpoint);
+    EXPECT_EQ(events[1].bytes, image);
+  }
 }
 
 TEST(WorkerChannel, FramedDamageIsATransportErrorAndWrongDirectionToo) {
   {
-    WorkerChannel ch(/*framed=*/true);
+    WorkerChannel ch;
     std::uint8_t bad_beat[3] = {1, 2, 3};  // beats must be exactly 8 bytes
     const auto f = encode_frame(FrameType::kBeat, bad_beat, sizeof bad_beat);
     std::vector<ChannelEvent> events;
@@ -202,7 +188,7 @@ TEST(WorkerChannel, FramedDamageIsATransportErrorAndWrongDirectionToo) {
   }
   {
     // Workers never send kInit; one arriving means the stream is confused.
-    WorkerChannel ch(/*framed=*/true);
+    WorkerChannel ch;
     std::uint8_t one = 0;
     const auto f = encode_frame(FrameType::kInit, &one, 1);
     std::vector<ChannelEvent> events;
@@ -378,6 +364,14 @@ int run_tool(const std::string& args, const std::string& env = "",
   return WEXITSTATUS(st);
 }
 
+/// N of the supervisor's "N checkpoint(s) shipped" summary, or -1.
+int shipped_count(const std::string& log) {
+  const auto at = log.find(" checkpoint(s) shipped");
+  if (at == std::string::npos || at == 0) return -1;
+  const auto start = log.find_last_not_of("0123456789", at - 1) + 1;
+  return start == at ? -1 : std::stoi(log.substr(start, at - start));
+}
+
 class FleetTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -416,14 +410,20 @@ class FleetTest : public ::testing::Test {
 };
 
 TEST_F(FleetTest, SingleHostFleetlessPathStillMatchesMonolithic) {
-  // The LocalTransport refactor must be behaviorally invisible: no --hosts
-  // means the classic fork/exec pipe path, byte-identical results, and the
-  // per-shard stderr logs appearing under the checkpoint directory.
+  // Without --hosts the supervisor runs --workers workers on this host over
+  // the same framed wire a localhost fleet node uses: byte-identical
+  // results, every batch's checkpoint shipped home, the workers' scratch
+  // copies under the checkpoint directory, and the per-shard stderr logs
+  // beside them.
   const std::string mono = monolithic();
   ASSERT_FALSE(mono.empty());
   ASSERT_EQ(run_tool(supervise_flags("--workers 2"), "", path("sup.log")), 0)
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
+  const std::string log = read_file(path("sup.log"));
+  EXPECT_GT(shipped_count(log), 0) << log;
+  EXPECT_TRUE(fs::is_directory(dir_ / "ckpt/local"))
+      << "local scratch dir missing";
   EXPECT_TRUE(fs::exists(dir_ / "ckpt/logs")) << "per-shard log dir missing";
 }
 
@@ -526,6 +526,81 @@ TEST_F(FleetTest, FakeSshTransportCarriesTheWholeProtocol) {
             0)
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
+}
+
+TEST_F(FleetTest, OrphanedWorkerStopsWhenItsChannelIsGone) {
+  // A worker whose supervisor was kill -9'd can no longer ship anything.
+  // Its next frame write fails, so it must finish the in-flight batch,
+  // checkpoint, and exit kInterrupted — not run its whole shard (hours at
+  // this size) rewriting a scratch checkpoint a replacement worker owns.
+  int to_worker[2];
+  int from_worker[2];
+  ASSERT_EQ(pipe(to_worker), 0);
+  ASSERT_EQ(pipe(from_worker), 0);
+  const std::string ckpt = path("scratch/shard_0_100000000.ckpt");
+  const std::string log = path("worker.log");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    dup2(to_worker[0], 0);
+    dup2(from_worker[1], 1);
+    for (const int fd : {to_worker[0], to_worker[1], from_worker[0],
+                         from_worker[1]})
+      close(fd);
+    const int lfd = open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (lfd >= 0) dup2(lfd, 2);
+    setenv("DNNFI_MODEL_DIR", DNNFI_REPO_MODELS, 1);
+    execl(DNNFI_CAMPAIGN_BIN, DNNFI_CAMPAIGN_BIN, "worker", "--network",
+          "convnet", "--trials", "100000000", "--seed", "7", "--inputs", "4",
+          "--batch", "16", "--shard", "0:100000000", "--checkpoint",
+          ckpt.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  // Never leave the worker behind, whatever fails below.
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid > 0) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+      }
+    }
+  } reaper{pid};
+  close(to_worker[0]);
+  close(from_worker[1]);
+
+  const std::uint8_t start_fresh = 0;
+  const auto init = encode_frame(FrameType::kInit, &start_fresh, 1);
+  ASSERT_EQ(write(to_worker[1], init.data(), init.size()),
+            static_cast<ssize_t>(init.size()));
+  close(to_worker[1]);
+
+  // Wait for the first beat, then hang up as a dead supervisor would.
+  WorkerChannel ch;
+  std::vector<ChannelEvent> events;
+  std::uint8_t buf[4096];
+  while (events.empty()) {
+    const ssize_t n = read(from_worker[0], buf, sizeof buf);
+    ASSERT_GT(n, 0) << "worker closed its channel first: " << read_file(log);
+    ASSERT_TRUE(ch.feed(buf, static_cast<std::size_t>(n), events).ok());
+  }
+  EXPECT_EQ(events[0].kind, ChannelEvent::Kind::kBeat);
+  close(from_worker[0]);
+
+  int st = 0;
+  for (int i = 0; i < 200 && reaper.pid > 0; ++i) {
+    if (waitpid(pid, &st, WNOHANG) == pid)
+      reaper.pid = -1;
+    else
+      usleep(100 * 1000);
+  }
+  ASSERT_EQ(reaper.pid, -1) << "orphaned worker still running after 20 s";
+  ASSERT_TRUE(WIFEXITED(st)) << read_file(log);
+  EXPECT_EQ(WEXITSTATUS(st), exit_code(Errc::kInterrupted)) << read_file(log);
+  const auto ck = try_load_shard_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.error().to_string();
+  EXPECT_FALSE(ck.value().complete);
+  EXPECT_GT(ck.value().next_trial, 0u);
 }
 
 TEST_F(FleetTest, SighupHostsFileReloadRescuesAStalledCampaign) {

@@ -166,6 +166,29 @@ TEST_F(SupervisorTest, PoisonTrialIsBisectedToAndQuarantined) {
   EXPECT_EQ(ck.value().aborted_trials, (std::vector<std::uint64_t>{37}));
 }
 
+TEST_F(SupervisorTest, RestartedSupervisorResumesAnIncompleteLocalShard) {
+  const std::string mono = monolithic();
+  // A half-done shard checkpoint in --ckpt-dir (left by a supervisor killed
+  // mid-shard; made here by --stop-after, whose batch must be smaller than
+  // the shard to stop inside it) is shipped to the relaunched worker in its
+  // init frame and resumed, not redone.
+  fs::create_directories(dir_ / "ckpt");
+  ASSERT_EQ(run_tool(std::string("run ") + kCampaignFlags +
+                         " --batch 4 --no-progress --shard 0:8"
+                         " --stop-after 4 --checkpoint " +
+                         (dir_ / "ckpt/shard_0_8.ckpt").string(),
+                     "", path("stop.log")),
+            3)
+      << read_file(path("stop.log"));
+  ASSERT_EQ(run_tool(supervise_flags(), "", path("sup.log")), 0)
+      << read_file(path("sup.log"));
+  EXPECT_EQ(read_file(path("sup.stats")), mono);
+  const std::string log = read_file(path("sup.log"));
+  EXPECT_NE(log.find("shard [0, 8) complete (4 trials this attempt)"),
+            std::string::npos)
+      << log;
+}
+
 TEST_F(SupervisorTest, GracefulSigtermSavesCheckpointAndResumeMatches) {
   const std::string mono = monolithic();
   const std::string ckpt = path("run.ckpt");

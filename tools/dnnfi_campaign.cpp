@@ -34,10 +34,11 @@
 //             the last shipped batch. [--host-quarantine S] and
 //             [--host-fail-limit N] tune per-host health; SIGHUP re-reads
 //             --hosts-file (elastic membership). See DESIGN.md §13.
-//   worker    (internal) one supervised shard: `run` plus a heartbeat pipe
-//             (--heartbeat-fd), or --frame-io for fleet workers (framed
-//             init/beat/checkpoint protocol on stdin/stdout), and
-//             taxonomy-coded exit statuses.
+//   worker    (internal) one supervised shard: `run` speaking the framed
+//             init/beat/checkpoint protocol of fault/transport.h on
+//             stdin/stdout (--checkpoint names its scratch copy), with
+//             taxonomy-coded exit statuses. A failed frame write means the
+//             supervisor is gone: the worker checkpoints and exits 4.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown everywhere: the in-flight
 // batch finishes, a final checkpoint is written, and the process exits 4
@@ -193,14 +194,12 @@ struct Args {
   int max_attempts = 3;
   double backoff = 0.25;
   std::size_t max_quarantine = 16;
-  int heartbeat_fd = -1;
 
   // fleet mode
   std::string hosts;
   std::string hosts_file;
   double host_quarantine = 2.0;  ///< quarantine base seconds
   int host_fail_limit = 3;
-  bool frame_io = false;  ///< worker: framed protocol on stdin/stdout
 };
 
 Args parse(int argc, char** argv) {
@@ -224,10 +223,6 @@ Args parse(int argc, char** argv) {
     }
     if (key == "--no-incremental") {
       a.incremental = false;
-      continue;
-    }
-    if (key == "--frame-io") {
-      a.frame_io = true;
       continue;
     }
     if (i + 1 >= argc) usage("missing value for " + key);
@@ -303,8 +298,6 @@ Args parse(int argc, char** argv) {
       a.backoff = std::stod(val);
     } else if (key == "--max-quarantine") {
       a.max_quarantine = std::stoull(val);
-    } else if (key == "--heartbeat-fd") {
-      a.heartbeat_fd = std::stoi(val);
     } else if (key == "--hosts") {
       a.hosts = val;
     } else if (key == "--hosts-file") {
@@ -590,41 +583,34 @@ int cmd_run(const Args& a, bool resume) {
 
 // ---- worker mode ---------------------------------------------------------
 
-/// The worker's upstream channel: the classic raw heartbeat pipe
-/// (--heartbeat-fd) or the framed fleet protocol (--frame-io).
-struct WorkerWire {
-  int fd = -1;
-  bool framed = false;
-};
+/// Sends one frame to the supervisor. Writes ride send_frame's full-write
+/// loop, so a signal landing mid-write (EINTR) or a short pipe write can
+/// never truncate a frame. A failed write means the supervisor is gone
+/// (EPIPE; SIGPIPE is ignored): nothing this worker does can ship any
+/// more, so it cancels — the in-flight batch finishes, checkpoints, and the
+/// worker exits kInterrupted instead of running an orphaned shard.
+void send_upstream(int fd, fault::FrameType type, const std::uint8_t* data,
+                   std::size_t n) {
+  if (!fault::send_frame(fd, type, data, n).ok())
+    g_cancel.store(true, std::memory_order_relaxed);
+}
 
-/// One heartbeat: completed-trial count, as a raw 8-byte little-endian
-/// counter or a kBeat frame. Writes ride io_write_full, so a signal landing
-/// mid-write (EINTR) or a short pipe write can never truncate a beat. A
-/// dead supervisor turns writes into EPIPE noise (SIGPIPE is ignored); the
-/// worker keeps going and its checkpoint remains the source of truth.
-void heartbeat(const WorkerWire& w, std::uint64_t done) {
-  if (w.fd < 0) return;
+/// One heartbeat: trials completed this attempt, as a kBeat frame.
+void heartbeat(int fd, std::uint64_t done) {
   std::uint8_t b[8];
   for (int i = 0; i < 8; ++i)
     b[i] = static_cast<std::uint8_t>(done >> (8 * i));
-  if (w.framed)
-    [[maybe_unused]] auto sent =
-        fault::send_frame(w.fd, fault::FrameType::kBeat, b, sizeof b);
-  else
-    [[maybe_unused]] auto wrote = fault::io_write_full(w.fd, b, sizeof b);
+  send_upstream(fd, fault::FrameType::kBeat, b, sizeof b);
 }
 
-/// Ships the worker's node-local checkpoint file image home as a
-/// kCheckpoint frame (fleet mode; no-op otherwise). Failure is deliberately
-/// quiet here: the supervisor's trust-but-verify pass re-runs any shard
-/// whose durable copy never landed.
-void ship_checkpoint(const WorkerWire& w, const std::string& path) {
-  if (w.fd < 0 || !w.framed || path.empty()) return;
+/// Ships the worker's scratch checkpoint file image home as a kCheckpoint
+/// frame. An unreadable file is deliberately quiet here: the supervisor's
+/// trust-but-verify pass re-runs any shard whose durable copy never landed.
+void ship_checkpoint(int fd, const std::string& path) {
   auto bytes = fault::read_checkpoint_bytes(path);
   if (!bytes.ok()) return;
-  [[maybe_unused]] auto sent =
-      fault::send_frame(w.fd, fault::FrameType::kCheckpoint,
-                        bytes.value().data(), bytes.value().size());
+  send_upstream(fd, fault::FrameType::kCheckpoint, bytes.value().data(),
+                bytes.value().size());
 }
 
 /// Fires a fail-once fault-injection hook: creates the sentinel file first
@@ -637,14 +623,20 @@ bool fire_once(const std::optional<std::string>& sentinel) {
   return true;
 }
 
-/// Fleet worker setup: moves the frame stream off stdout (stray prints from
+/// The worker's end of the wire: the frame fd that replaced stdout, and the
+/// trials the resumed checkpoint already held (beats count this attempt).
+struct WorkerWire {
+  int fd = -1;
+  std::uint64_t resumed = 0;
+};
+
+/// Worker setup: moves the frame stream off stdout (stray prints from
 /// anywhere in the library would corrupt frames; they go to stderr instead),
 /// then lands the supervisor's init frame — the resume checkpoint image, or
-/// an order to discard stale node-local state. Returns the wire, or the
-/// exit code to die with.
-std::variant<WorkerWire, int> setup_frame_io(const Args& a) {
+/// an order to discard stale scratch state. Returns the wire, or the exit
+/// code to die with.
+std::variant<WorkerWire, int> setup_wire(const Args& a) {
   WorkerWire wire;
-  wire.framed = true;
   wire.fd = dup(1);
   if (wire.fd < 0) {
     std::cerr << "error: cannot dup stdout for frame I/O\n";
@@ -653,7 +645,7 @@ std::variant<WorkerWire, int> setup_frame_io(const Args& a) {
   dup2(2, 1);
 
   if (a.checkpoint.empty()) {
-    std::cerr << "error: --frame-io requires --checkpoint\n";
+    std::cerr << "error: worker requires --checkpoint\n";
     return 2;
   }
   std::error_code ec;
@@ -678,6 +670,10 @@ std::variant<WorkerWire, int> setup_frame_io(const Args& a) {
       std::cerr << "error: " << landed.error().to_string() << "\n";
       return exit_code(landed.error().code);
     }
+    // Landing validated the image, so it parses.
+    const auto ck =
+        fault::parse_checkpoint_bytes(image.data(), image.size(), "init frame");
+    wire.resumed = ck.value().next_trial - a.shard_begin;
   } else {
     // Start fresh: a stale checkpoint from an earlier attempt on this node
     // would resurrect state the supervisor has already moved past.
@@ -688,15 +684,10 @@ std::variant<WorkerWire, int> setup_frame_io(const Args& a) {
 
 int cmd_worker(const Args& a) {
   signal(SIGPIPE, SIG_IGN);
-  WorkerWire wire;
-  if (a.frame_io) {
-    auto set_up = setup_frame_io(a);
-    if (std::holds_alternative<int>(set_up)) return std::get<int>(set_up);
-    wire = std::get<WorkerWire>(set_up);
-  } else {
-    wire.fd = a.heartbeat_fd;
-  }
-  heartbeat(wire, 0);  // liveness before the (slow) model load
+  auto set_up = setup_wire(a);
+  if (std::holds_alternative<int>(set_up)) return std::get<int>(set_up);
+  const WorkerWire wire = std::get<WorkerWire>(set_up);
+  heartbeat(wire.fd, 0);  // liveness before the (slow) model load
 
   // Supervisor-robustness test hooks; inert without the env vars.
   const auto crash_once = env_string("DNNFI_TEST_CRASH_ONCE_FILE");
@@ -716,8 +707,8 @@ int cmd_worker(const Args& a) {
   // shipping here always ships the batch that was just made durable.
   opt.progress = [&wire, &a, span, &crash_once, &hang_once](
                      const fault::CampaignProgress& p) {
-    heartbeat(wire, p.done);
-    ship_checkpoint(wire, a.checkpoint);
+    heartbeat(wire.fd, p.done - wire.resumed);
+    ship_checkpoint(wire.fd, a.checkpoint);
     if (p.done * 2 >= span) {
       if (fire_once(crash_once)) raise(SIGKILL);
       if (fire_once(hang_once))
@@ -745,10 +736,10 @@ int cmd_worker(const Args& a) {
   } else {
     res = c.run_shard(opt, shard);
   }
-  heartbeat(wire, res.next_trial - a.shard_begin);
+  heartbeat(wire.fd, res.next_trial - a.shard_begin - wire.resumed);
   // Final ship: the completion checkpoint must land with the supervisor
   // before exit 0, or trust-but-verify will (correctly) re-run the shard.
-  ship_checkpoint(wire, a.checkpoint);
+  ship_checkpoint(wire.fd, a.checkpoint);
   if (!res.complete)
     return g_cancel.load(std::memory_order_relaxed)
                ? exit_code(Errc::kInterrupted)
@@ -831,12 +822,11 @@ int cmd_supervise(const Args& a, const char* argv0) {
             << rep.retries << " retr" << (rep.retries == 1 ? "y" : "ies")
             << ", " << rep.watchdog_kills << " watchdog kill(s), "
             << rep.bisections << " bisection(s), " << rep.degradations
-            << " degradation(s)\n";
+            << " degradation(s), " << rep.checkpoints_shipped
+            << " checkpoint(s) shipped\n";
   if (!a.hosts.empty() || !a.hosts_file.empty())
-    std::cerr << "fleet: " << rep.checkpoints_shipped
-              << " checkpoint(s) shipped, " << rep.retries_elsewhere
-              << " retry(s) elsewhere, " << rep.host_quarantines
-              << " host quarantine(s)\n";
+    std::cerr << "fleet: " << rep.retries_elsewhere << " retry(s) elsewhere, "
+              << rep.host_quarantines << " host quarantine(s)\n";
   if (!rep.aborted_trials.empty()) {
     std::cerr << "supervise: quarantined " << rep.aborted_trials.size()
               << " poison trial(s):";

@@ -13,6 +13,10 @@
 #      which is the one field that records how trials were *executed*
 #      rather than what they produced.
 #
+# Then supervised legs: a worker killed -9, the supervisor itself killed
+# -9 and rerun, a two-node fleet with one node killed repeatedly, a
+# systolic-geometry campaign, and a stratified kill/resume/merge.
+#
 # Usage: tools/nightly_campaign.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -107,6 +111,40 @@ if diff -u "$WORK/full.stats" "$WORK/sup.stats"; then
 else
   echo "FAIL: supervised campaign diverged after worker kill" >&2
   cat "$WORK/sup.log" >&2
+  exit 1
+fi
+
+echo "== supervisor killed -9 mid-campaign, then rerun on the same --ckpt-dir =="
+# Killing the supervisor orphans its workers: each one's next frame write
+# fails, so it finishes its batch, checkpoints and exits instead of running
+# on. Rerunning `supervise` on the same directory must resume every
+# half-done shard from its landed checkpoint (shipped back out in the init
+# frame) and still merge bit-identical to the monolithic reference.
+# --batch 10 keeps the campaign alive long enough to be killed mid-flight.
+SUPK=("$CAMPAIGN" supervise "${COMMON[@]}" --batch 10 --workers 2
+      --ckpt-dir "$WORK/supk-ckpt" --backoff 0.1 --out "$WORK/supk.stats")
+"${SUPK[@]}" 2>"$WORK/supk.log" &
+SUP_PID=$!
+for _ in $(seq 1 100); do
+  compgen -G "$WORK/supk-ckpt/shard_*.ckpt" >/dev/null && break
+  sleep 0.05
+done
+kill -9 "$SUP_PID" 2>/dev/null && echo "killed supervisor pid $SUP_PID" ||
+  echo "warn: supervisor finished before it could be killed" >&2
+wait "$SUP_PID" 2>/dev/null || true
+# Orphans stop after their in-flight batch; give them 10 s.
+for _ in $(seq 1 100); do
+  pgrep -f "$WORK/supk-ckpt/local/" >/dev/null || break
+  sleep 0.1
+done
+! pgrep -f "$WORK/supk-ckpt/local/" >/dev/null || {
+  echo "FAIL: orphaned workers outlived their supervisor by 10 s" >&2; exit 1; }
+rc=0; "${SUPK[@]}" 2>>"$WORK/supk.log" || rc=$?
+if [ "$rc" -eq 0 ] && diff -u "$WORK/full.stats" "$WORK/supk.stats"; then
+  echo "PASS: supervisor kill -9 + rerun merged bit-identically"
+else
+  echo "FAIL: rerun after the supervisor kill exited $rc or diverged" >&2
+  cat "$WORK/supk.log" >&2
   exit 1
 fi
 
