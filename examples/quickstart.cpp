@@ -11,6 +11,7 @@
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/data/pretrain.h"
+#include "dnnfi/dnn/executor.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/fault/campaign.h"
 
@@ -28,8 +29,10 @@ int main() {
   const auto ds = data::dataset_for(dnn::zoo::NetworkId::kConvNet);
   const auto sample = ds->sample(data::kTestSplitBegin + 3);
   const auto input = tensor::convert<numeric::Half>(sample.image);
-  const auto golden_trace = net.forward_trace(input);
-  const auto golden = net.interpret(golden_trace.output());
+  //    The activation cache keeps every layer's fault-free output: the
+  //    golden run each fault is replayed against.
+  const dnn::ActivationCache<numeric::Half> cache(net.plan(), input);
+  const auto golden = net.interpret(cache.output());
   std::cout << "clean prediction:  " << ds->class_name(golden.top1())
             << " (confidence " << golden.top1_score() << ", truth "
             << ds->class_name(sample.label) << ")\n";
@@ -41,8 +44,14 @@ int main() {
   const auto fault = sampler.sample(fault::SiteClass::kDatapathLatch, rng);
   std::cout << "injecting: " << fault.describe() << "\n";
 
+  //    The replay re-executes the struck layer and the layers after it,
+  //    stopping early once the fault's effect is masked.
+  const dnn::Executor<numeric::Half> exec(net.plan());
+  dnn::Workspace<numeric::Half> ws(net.plan());
   dnn::InjectionRecord record;
-  const auto faulty_out = fault::inject(net, golden_trace, fault, &record);
+  const auto faulty_out = fault::inject(exec, ws, net.mac_layers(), cache,
+                                        fault, /*early_exit=*/true,
+                                        /*replay=*/nullptr, &record);
   const auto faulty = net.interpret(faulty_out);
   std::cout << "corrupted latch value: " << record.corrupted_before << " -> "
             << record.corrupted_after << "\n";

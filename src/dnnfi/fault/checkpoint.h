@@ -49,9 +49,11 @@
 // API (try_load/try_save) is the primary one — the campaign supervisor
 // dispatches on the code to decide retry vs abort — and the throwing
 // wrappers preserve the original interface, raising CheckpointError that
-// carries the same code. Writes go to a sibling ".tmp" file first and are
-// renamed into place, so a crash mid-write leaves the previous checkpoint
-// intact.
+// carries the same code. Writes go through write_file_atomic (atomic_file.h):
+// each lands in its own per-call ".tmp" sibling and is renamed into place,
+// so a crash mid-write leaves the previous checkpoint intact and two
+// concurrent writers of one path (an orphaned worker and its replacement)
+// cannot tear each other's file.
 #pragma once
 
 #include <cstdint>

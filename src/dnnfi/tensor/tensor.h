@@ -4,7 +4,7 @@
 // buffer word in the accelerator model.
 //
 // Two storage forms share one element layout:
-//   Tensor<T>      — owning, growable; golden traces and parameters.
+//   Tensor<T>      — owning, growable; parameters and owned copies.
 //   TensorView<T>  — non-owning window over arena/workspace storage; the
 //                    execution engine's currency (zero allocation, zero
 //                    copy). TensorView<const T> is the read-only form and

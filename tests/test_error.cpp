@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dnnfi/common/atomic_file.h"
@@ -106,16 +108,64 @@ TEST(AtomicFile, FailureToUnwritableDirIsIoAndTargetUntouched) {
   EXPECT_FALSE(fs::exists("/nonexistent-dir/x/y.txt"));
 }
 
+std::string read_all(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Names of the "*.tmp" files left in `dir`.
+std::vector<std::string> tmp_files(const fs::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(dir))
+    if (e.path().extension() == ".tmp") out.push_back(e.path().string());
+  return out;
+}
+
 TEST(AtomicFile, SuccessLeavesNoTmpSibling) {
-  const std::string path =
-      (fs::temp_directory_path() / "dnnfi_atomic_test.txt").string();
-  ASSERT_TRUE(write_file_atomic(path, "payload").ok());
-  std::ifstream in(path);
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(body, "payload");
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  fs::remove(path);
+  const fs::path dir = fs::temp_directory_path() / "dnnfi_atomic_test_single";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path path = dir / "out.txt";
+  ASSERT_TRUE(write_file_atomic(path.string(), "payload").ok());
+  EXPECT_EQ(read_all(path), "payload");
+  EXPECT_TRUE(tmp_files(dir).empty());
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, ConcurrentWritersOfOnePathAllSucceed) {
+  // An orphaned worker and its replacement can write one checkpoint path at
+  // the same time; every write must land whole and leave no tmp behind.
+  const fs::path dir =
+      fs::temp_directory_path() / "dnnfi_atomic_test_concurrent";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "shard.ckpt").string();
+  constexpr std::size_t kThreads = 4, kWrites = 200, kBytes = 256 * 1024;
+  // Payload (t, i): every byte is (t * kWrites + i) mod 251, led by t and i.
+  const auto payload = [&](std::size_t t, std::size_t i) {
+    std::string p(kBytes, static_cast<char>((t * kWrites + i) % 251));
+    p[0] = static_cast<char>(t);
+    p[1] = static_cast<char>(i);
+    return p;
+  };
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kWrites; ++i)
+        if (!write_file_atomic(path, payload(t, i)).ok()) ++failures;
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const std::string body = read_all(path);
+  ASSERT_EQ(body.size(), kBytes);
+  const auto t = static_cast<std::size_t>(static_cast<unsigned char>(body[0]));
+  const auto i = static_cast<std::size_t>(static_cast<unsigned char>(body[1]));
+  ASSERT_LT(t, kThreads);
+  ASSERT_LT(i, kWrites);
+  EXPECT_TRUE(body == payload(t, i));
+  EXPECT_TRUE(tmp_files(dir).empty());
+  fs::remove_all(dir);
 }
 
 class CheckpointErrors : public ::testing::Test {

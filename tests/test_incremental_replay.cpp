@@ -212,16 +212,20 @@ TEST(IncrementalReplay, CacheMatchesFreshForwardAfterWorkspaceReuse) {
     ASSERT_FALSE(out.empty());
   }
 
-  dnn::Trace<T> fresh;
+  std::vector<tensor::Tensor<T>> fresh(net.num_layers());
+  const dnn::LayerObserver<T> copy_out =
+      [&](std::size_t i, tensor::ConstTensorView<T> out) {
+        fresh[i].assign(out);
+      };
   dnn::RunRequest<T> req;
   req.input = image;
-  req.trace = &fresh;
+  req.observer = &copy_out;
   exec.run(ws, req);
-  ASSERT_EQ(fresh.acts.size(), cache.num_layers());
-  EXPECT_TRUE(tensor::bitwise_equal<T>(cache.input(), fresh.input.view()));
+  ASSERT_EQ(fresh.size(), cache.num_layers());
+  EXPECT_TRUE(tensor::bitwise_equal<T>(cache.input(), image.view()));
   for (std::size_t i = 0; i < cache.num_layers(); ++i)
     EXPECT_TRUE(tensor::bitwise_equal<T>(
-        cache.act(i), tensor::ConstTensorView<T>(fresh.acts[i])))
+        cache.act(i), tensor::ConstTensorView<T>(fresh[i])))
         << "layer " << i;
 }
 

@@ -386,11 +386,14 @@ TEST(FaultOpKernels, FaultyRunsBitIdenticalAcrossScalarAndAvx2) {
     EXPECT_TRUE(dnn::kernels::set_active_mode(mode));
     dnn::Network<Half> net(spec);  // plan captures the active kernel set
     dnn::load_weights(net, blob);
-    const auto golden = net.forward_trace(img);
-    std::vector<Tensor<Half>> outs;
-    for (const auto& f : faults)
-      outs.push_back(net.forward_with_fault(
-          golden, fault::lower(f, net.mac_layers(), *model)));
+    const dnn::ActivationCache<Half> golden(net.plan(), img);
+    const dnn::Executor<Half> exec(net.plan());
+    dnn::Workspace<Half> ws(net.plan());
+    std::vector<Tensor<Half>> outs(faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      outs[i].assign(fault::inject<Half>(
+          exec, ws, net.mac_layers(), golden, faults[i],
+          /*early_exit=*/false, nullptr, nullptr, nullptr, *model));
     return outs;
   };
   const auto scalar = run_mode("scalar");
