@@ -25,9 +25,7 @@ int main() {
             " (n=" + std::to_string(n) + "/cell)");
     t.header({"burst bits", "datapath SDC-1", "global-buffer SDC-1"});
     for (const int burst : {1, 2, 4, 8}) {
-      fault::FaultOpSpec op;
-      op.kind = fault::FaultOpKind::kToggle;
-      op.burst = burst;
+      const fault::FaultOpSpec op{fault::FaultOpKind::kToggle, burst};
       // Legacy-equivalence guard: the toggle op materialized at any bit is
       // the flip_burst mask of the same (bit, length).
       for (const int bit : {0, 3, 11})
@@ -36,9 +34,7 @@ int main() {
       fault::CampaignOptions dp;
       dp.trials = n;
       dp.seed = 31017;
-      dp.constraint.op_kind = op.kind;
-      dp.constraint.burst = op.burst;
-      dp.constraint.op_pattern = op.pattern;
+      dp.constraint.op = op;
       const auto e_dp = run_streaming(campaign, dp).sdc1();
 
       fault::CampaignOptions gb = dp;

@@ -19,6 +19,23 @@ std::string sampler_id(const CampaignOptions& opt) {
                                                  : std::string("uniform");
 }
 
+StatsAxes campaign_axes(const CampaignOptions& opt) {
+  return StatsAxes{opt.accel.to_string(), opt.constraint.op.to_string(),
+                   sampler_id(opt)};
+}
+
+std::vector<StratumCheckpoint> StratifiedResult::stratum_state() const {
+  DNNFI_EXPECTS(strata.size() == weights.size() &&
+                strata.size() == per_stratum.size());
+  std::vector<StratumCheckpoint> v(strata.size());
+  for (std::size_t h = 0; h < strata.size(); ++h) {
+    v[h].id = strata[h].id();
+    v[h].weight = weights[h];
+    v[h].acc = per_stratum[h];
+  }
+  return v;
+}
+
 std::vector<StratumCounts> StratifiedResult::counts(
     const std::function<std::size_t(const OutcomeAccumulator&)>& metric)
     const {
@@ -302,13 +319,11 @@ struct Campaign::TypedBackend final : Campaign::Backend {
   void write_checkpoint(const ShardSpec& shard, std::uint64_t fingerprint,
                         std::uint64_t total, std::uint64_t begin,
                         std::uint64_t end, const ShardResult& st,
-                        const std::string& accel_id,
-                        const std::string& op_id) const {
+                        const StatsAxes& axes) const {
     ShardCheckpoint ck;
     ck.fingerprint = fingerprint;
     ck.network = net.spec().name;
-    ck.accel = accel_id;
-    ck.fault_op = op_id;
+    ck.set_axes(axes);
     ck.trials_total = total;
     ck.shard_begin = begin;
     ck.shard_end = end;
@@ -331,8 +346,7 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     // Geometry the shard samples from and lowers through. The default
     // (Eyeriss) reuses the backend's precomputed sampler so the hot path is
     // unchanged; other geometries build their model + sampler per run.
-    const std::string accel_id = opt.accel.to_string();
-    const std::string op_id = opt.constraint.op_spec().to_string();
+    const StatsAxes axes = campaign_axes(opt);
     std::unique_ptr<accel::AcceleratorModel> owned_model;
     const accel::AcceleratorModel* model = &accel::eyeriss_model();
     const Sampler* sampler = &site_sampler;
@@ -368,10 +382,10 @@ struct Campaign::TypedBackend final : Campaign::Backend {
                 std::to_string(ck.trials_total) + " trials, run requests [" +
                 std::to_string(begin) + ", " + std::to_string(end) + ") of " +
                 std::to_string(total) + ")");
-      if (auto axes = validate_checkpoint_axes(ck, accel_id, op_id); !axes.ok())
-        throw CheckpointError(axes.error().code,
-                              "checkpoint " + shard.checkpoint + ": " +
-                                  axes.error().message);
+      if (auto ok = validate_checkpoint_axes(ck, axes); !ok.ok())
+        throw CheckpointError(ok.error().code, "checkpoint " +
+                                                   shard.checkpoint + ": " +
+                                                   ok.error().message);
       st.acc = std::move(ck.acc);
       st.next_trial = ck.next_trial;
       st.masked_exits = ck.masked_exits;
@@ -454,8 +468,7 @@ struct Campaign::TypedBackend final : Campaign::Backend {
       if (sink)
         for (std::size_t i = 0; i < count; ++i) (*sink)(b0 + i, recbuf[i]);
       if (!shard.checkpoint.empty())
-        write_checkpoint(shard, fingerprint, total, begin, end, st, accel_id,
-                         op_id);
+        write_checkpoint(shard, fingerprint, total, begin, end, st, axes);
       if (opt.progress) {
         const double secs =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -491,8 +504,7 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     // An empty shard (or one already finished on disk) never enters the
     // loop; still leave a checkpoint behind so resume tooling sees it.
     if (!shard.checkpoint.empty() && ran == 0 && !st.resumed)
-      write_checkpoint(shard, fingerprint, total, begin, end, st, accel_id,
-                       op_id);
+      write_checkpoint(shard, fingerprint, total, begin, end, st, axes);
     return st;
   }
 
@@ -506,9 +518,7 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     DNNFI_EXPECTS(shard.begin == 0 &&
                   (shard.end == 0 || shard.end == budget));
 
-    const std::string accel_id = opt.accel.to_string();
-    const std::string op_id = opt.constraint.op_spec().to_string();
-    const std::string samp_id = sampler_id(opt);
+    const StatsAxes axes = campaign_axes(opt);
     std::unique_ptr<accel::AcceleratorModel> owned_model;
     const accel::AcceleratorModel* model = &accel::eyeriss_model();
     const Sampler* sampler = &site_sampler;
@@ -563,32 +573,17 @@ struct Campaign::TypedBackend final : Campaign::Backend {
       ShardCheckpoint ck;
       ck.fingerprint = fingerprint;
       ck.network = net.spec().name;
-      ck.accel = accel_id;
-      ck.fault_op = op_id;
-      ck.sampler = samp_id;
+      ck.set_axes(axes);
       ck.trials_total = budget;
       ck.shard_begin = 0;
       ck.shard_end = budget;
       ck.complete = complete;
       ck.masked_exits = res.masked_exits;
       ck.acc = OutcomeAccumulator(ends.size());
-      StratifiedCheckpoint s;
-      s.rounds = rounds;
-      s.cursor = cursor;
-      s.plan = plan;
-      s.strata.reserve(H);
-      std::uint64_t executed = 0;
-      for (std::size_t h = 0; h < H; ++h) {
-        ck.acc.merge(res.per_stratum[h]);
-        executed += res.per_stratum[h].trials();
-        StratumCheckpoint hc;
-        hc.id = res.strata[h].id();
-        hc.weight = res.weights[h];
-        hc.acc = res.per_stratum[h];
-        s.strata.push_back(std::move(hc));
-      }
-      ck.next_trial = executed;
-      ck.stratified = std::move(s);
+      for (const auto& a : res.per_stratum) ck.acc.merge(a);
+      ck.next_trial = executed_total();
+      ck.stratified = StratifiedCheckpoint{rounds, cursor, plan,
+                                           res.stratum_state()};
       save_shard_checkpoint(shard.checkpoint, ck);
     };
 
@@ -609,11 +604,10 @@ struct Campaign::TypedBackend final : Campaign::Backend {
                 ": trial-budget mismatch (file covers " +
                 std::to_string(ck.trials_total) + " trials, run requests " +
                 std::to_string(budget) + ")");
-      if (auto axes = validate_checkpoint_axes(ck, accel_id, op_id, samp_id);
-          !axes.ok())
-        throw CheckpointError(axes.error().code,
-                              "checkpoint " + shard.checkpoint + ": " +
-                                  axes.error().message);
+      if (auto ok = validate_checkpoint_axes(ck, axes); !ok.ok())
+        throw CheckpointError(ok.error().code, "checkpoint " +
+                                                   shard.checkpoint + ": " +
+                                                   ok.error().message);
       if (!ck.stratified || ck.stratified->strata.size() != H ||
           (!ck.stratified->plan.empty() && ck.stratified->plan.size() != H))
         throw CheckpointError(Errc::kShardMismatch,
@@ -849,23 +843,16 @@ std::uint64_t Campaign::fingerprint(const CampaignOptions& opt) const {
   w.u32(c.fixed_latch ? static_cast<std::uint32_t>(*c.fixed_latch) : 0);
   w.u8(c.buffer_storage.has_value() ? 1 : 0);
   w.u32(c.buffer_storage ? static_cast<std::uint32_t>(*c.buffer_storage) : 0);
-  w.u32(static_cast<std::uint32_t>(c.burst));
   w.u8(opt.record_block_distances ? 1 : 0);
   // The detector is a std::function and cannot be fingerprinted; record its
   // presence only. Resuming with a *different* detector is on the caller.
   w.u8(opt.detector ? 1 : 0);
-  // Accelerator-geometry / fault-op axes fold in only when non-default, so
-  // every pre-geometry campaign keeps its historical fingerprint (and its
-  // checkpoints and stats files keep matching).
-  if (!opt.accel.is_eyeriss() || c.op_kind != FaultOpKind::kToggle ||
-      c.op_pattern != 0) {
-    w.str(opt.accel.to_string());
-    w.str(c.op_spec().to_string());
-  }
-  // The sampler axis folds the same way: only when non-default, so every
-  // uniform campaign keeps its historical fingerprint (and its checkpoints
-  // and stats files keep matching).
-  if (opt.sampler != SamplerMode::kUniform) w.str(sampler_id(opt));
+  // The identity triple every checkpoint and stats file carries; the op
+  // string includes the burst.
+  const StatsAxes axes = campaign_axes(opt);
+  w.str(axes.accel);
+  w.str(axes.fault_op);
+  w.str(axes.sampler);
   return fingerprint64(w.bytes().data(), w.bytes().size());
 }
 

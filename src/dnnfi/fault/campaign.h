@@ -24,6 +24,7 @@
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/fault/accumulator.h"
 #include "dnnfi/fault/adaptive_sampler.h"
+#include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/fault/descriptor.h"
 #include "dnnfi/fault/injector.h"
 #include "dnnfi/fault/outcome.h"
@@ -67,8 +68,8 @@ struct CampaignOptions {
   SampleConstraint constraint;
 
   /// Accelerator geometry trials sample from and lower through. The default
-  /// (Eyeriss) reproduces the paper's site inventory — and the pre-geometry
-  /// campaign bytes — exactly; `site` must be in the geometry's inventory.
+  /// (Eyeriss) reproduces the paper's site inventory; `site` must be in the
+  /// geometry's inventory.
   accel::AcceleratorConfig accel;
 
   /// Optional symptom detector: returns true when `value` observed at the
@@ -108,10 +109,10 @@ struct CampaignOptions {
   /// at an atomic set from a signal handler; null disables the check.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Trial-drawing strategy. kUniform is the seed semantics: every output
-  /// byte, fingerprint, and checkpoint is unchanged from before the sampler
-  /// axis existed. kStratified runs the adaptive campaign (run_stratified);
-  /// `trials` becomes the trial *budget* rather than an exact count.
+  /// Trial-drawing strategy. kUniform draws trial t from
+  /// derive_stream(seed, t); kStratified runs the adaptive campaign
+  /// (run_stratified), where `trials` becomes the trial *budget* rather
+  /// than an exact count.
   SamplerMode sampler = SamplerMode::kUniform;
 
   /// Controller knobs; read only under kStratified.
@@ -119,10 +120,13 @@ struct CampaignOptions {
 };
 
 /// The sampler axis's identity string: "uniform", or the stratified
-/// options' canonical form. Folded into the campaign fingerprint only when
-/// non-default (mirroring the geometry and fault-op axes), carried in
-/// checkpoints and non-default stats headers.
+/// options' canonical form.
 std::string sampler_id(const CampaignOptions& opt);
+
+/// The campaign's (geometry, fault-op, sampler) identity: the one source of
+/// the strings the fingerprint folds and every checkpoint and stats file
+/// carries.
+StatsAxes campaign_axes(const CampaignOptions& opt);
 
 /// One shard of a campaign: which trial-index range to run and how to
 /// persist it.
@@ -213,6 +217,10 @@ struct StratifiedResult {
   StratifiedEstimate sdc10() const;
   StratifiedEstimate sdc20() const;
 
+  /// Per-stratum state (id, weight, aggregate) in canonical order: what
+  /// stratified checkpoints persist and stats files print.
+  std::vector<StratumCheckpoint> stratum_state() const;
+
   /// Per-stratum sufficient statistics with `hits` drawn by `metric` —
   /// the form stratified_estimate() and next_allocation() consume.
   std::vector<StratumCounts> counts(
@@ -257,7 +265,8 @@ class Campaign {
                                   const ShardSpec& shard = {}) const;
 
   /// Fold of every option that changes trial outcomes — seed, trial count,
-  /// site, constraint, dtype, topology, detector presence — used to refuse
+  /// site, constraint, dtype, topology, detector presence, and the
+  /// campaign_axes identity strings — used to refuse
   /// resuming/merging under mismatched configurations. Not part of the
   /// checkpoint payload semantics: equal fingerprints promise equal trials.
   std::uint64_t fingerprint(const CampaignOptions& opt) const;

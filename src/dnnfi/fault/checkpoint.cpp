@@ -230,21 +230,19 @@ ShardCheckpoint load_shard_checkpoint(const std::string& path) {
 }
 
 Expected<void> validate_checkpoint_axes(const ShardCheckpoint& ck,
-                                        const std::string& accel,
-                                        const std::string& fault_op,
-                                        const std::string& sampler) {
-  if (ck.accel != accel)
+                                        const StatsAxes& axes) {
+  if (ck.accel != axes.accel)
     return fail(Errc::kFingerprintMismatch,
                 "checkpoint was produced on accelerator '" + ck.accel +
-                    "' but this campaign runs '" + accel + "'");
-  if (ck.fault_op != fault_op)
+                    "' but this campaign runs '" + axes.accel + "'");
+  if (ck.fault_op != axes.fault_op)
     return fail(Errc::kFingerprintMismatch,
                 "checkpoint was produced with fault op '" + ck.fault_op +
-                    "' but this campaign runs '" + fault_op + "'");
-  if (ck.sampler != sampler)
+                    "' but this campaign runs '" + axes.fault_op + "'");
+  if (ck.sampler != axes.sampler)
     return fail(Errc::kFingerprintMismatch,
                 "checkpoint was produced with sampler '" + ck.sampler +
-                    "' but this campaign runs '" + sampler + "'");
+                    "' but this campaign runs '" + axes.sampler + "'");
   return {};
 }
 

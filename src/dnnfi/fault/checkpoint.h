@@ -7,27 +7,25 @@
 //
 //   offset  size  field
 //   0       8     magic "DNNFICKP"
-//   8       4     format version (currently 5)
+//   8       4     format version (currently 6)
 //   12      4     CRC-32 of the payload
 //   16      8     payload size in bytes
 //   24      ...   payload (ByteWriter stream):
-//                   u64 fingerprint       — campaign-config fold (below)
+//                   u64 fingerprint       — campaign-config fold (campaign.h)
 //                   str network name      — diagnostics only
-//                   str accel             — v4: geometry identity, e.g.
-//                                           "eyeriss", "systolic:16x16"
-//                   str fault_op          — v4: op identity, e.g. "toggle",
-//                                           "set1:0x5"
-//                   str sampler           — v5: sampler identity, "uniform"
-//                                           or "stratified(pilot=…,…)"
+//                   str accel             — campaign identity (StatsAxes):
+//                   str fault_op            geometry, e.g. "systolic:16x16";
+//                   str sampler             op, e.g. "set1:0x0005"; sampler,
+//                                           "uniform" or "stratified(…)"
 //                   u64 trials_total      — opt.trials of the whole campaign
 //                   u64 shard_begin, shard_end
 //                   u64 next_trial        — first trial index NOT yet folded
 //                                           (stratified: trials executed)
 //                   u8  complete          — next_trial == shard_end
 //                   u64 masked_exits      — early-exited (masked) trials
-//                   u64 aborted count + u64[count] — v3: quarantined trials
+//                   u64 aborted count + u64[count] — quarantined trials
 //                   ...  OutcomeAccumulator::serialize — pooled aggregate
-//                   u8  has_stratified    — v5: sections below present?
+//                   u8  has_stratified    — sections below present?
 //                   u64 rounds            — completed allocation rounds
 //                   u64 cursor            — executed trials of the plan
 //                   u64 plan count + u64[count] — in-flight round allocation
@@ -38,10 +36,12 @@
 //
 // Version history: v1 lacked masked_exits; v2 lacked aborted_trials; v3
 // lacked the accelerator-geometry / fault-op identity strings; v4 lacked
-// the sampler identity and the per-stratum section. Loads of older files
-// fail with a version error (campaign semantics are unchanged, but mixing
-// counters across formats silently would corrupt masked-rate, quarantine,
-// and cross-geometry reporting).
+// the sampler identity and the per-stratum section; v5 has the v6 layout
+// but its fingerprint folded the accel, fault-op and sampler axes only when
+// they were non-default — v6's fingerprint folds every axis. Loads of older
+// files fail with a version error (mixing counters across formats silently
+// would corrupt masked-rate, quarantine, and cross-geometry reporting, and
+// a v5 fingerprint can never match a v6 campaign).
 //
 // Every structural defect — bad magic, unknown version, CRC mismatch,
 // truncation — is reported with a typed Errc (error.h) naming the file and
@@ -88,16 +88,28 @@ class CheckpointError : public std::runtime_error {
 
 inline constexpr char kCheckpointMagic[8] = {'D', 'N', 'N', 'F',
                                              'I', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
-/// One stratum's persisted state inside a stratified checkpoint (v5).
+/// What a campaign *is* beyond its fingerprint: the (geometry, fault-op,
+/// sampler) identity as canonical strings, e.g. {"systolic:8x8", "set1",
+/// "uniform"}. Carried verbatim by every checkpoint and stats file; the
+/// defaults are the paper's configuration. campaign_axes (campaign.h) is
+/// the one producer.
+struct StatsAxes {
+  std::string accel = "eyeriss";
+  std::string fault_op = "toggle";
+  std::string sampler = "uniform";
+};
+
+/// One stratum's state: identity, exact weight, and its trials' aggregate.
+/// Persisted in stratified checkpoints and printed in stratified stats.
 struct StratumCheckpoint {
   std::string id;     ///< canonical Stratum::id(); layout-mismatch guard
   double weight = 0;  ///< exact uniform-draw probability W_h
   OutcomeAccumulator acc;
 };
 
-/// Stratified-campaign extension of a checkpoint (v5): the per-stratum
+/// Stratified-campaign extension of a checkpoint: the per-stratum
 /// accumulators plus the controller's in-flight round. Everything else the
 /// controller needs (the next allocation) is a pure function of this state,
 /// so nothing else is persisted.
@@ -113,11 +125,9 @@ struct StratifiedCheckpoint {
 struct ShardCheckpoint {
   std::uint64_t fingerprint = 0;  ///< campaign-config fold (campaign.h)
   std::string network;            ///< spec name, for diagnostics
-  /// Canonical accelerator-geometry identity the shard ran on (new in v4).
+  /// The campaign identity (StatsAxes) the shard ran under.
   std::string accel = "eyeriss";
-  /// Canonical fault-operation identity (FaultOpSpec::to_string; v4).
   std::string fault_op = "toggle";
-  /// Canonical sampler identity (campaign.h sampler_id; new in v5).
   std::string sampler = "uniform";
   std::uint64_t trials_total = 0;
   std::uint64_t shard_begin = 0;
@@ -125,18 +135,25 @@ struct ShardCheckpoint {
   std::uint64_t next_trial = 0;
   bool complete = false;
   /// Trials that early-exited on an exact cache match (masked faults);
-  /// 0 when incremental replay was disabled. New in format v2.
+  /// 0 when incremental replay was disabled.
   std::uint64_t masked_exits = 0;
   /// Trials quarantined by the supervisor: they crashed the worker on
   /// every attempt, were bisected down to, and are NOT folded into `acc`.
   /// Always empty for worker-written shard checkpoints; the supervisor's
-  /// merged campaign checkpoint enumerates them. New in format v3.
+  /// merged campaign checkpoint enumerates them.
   std::vector<std::uint64_t> aborted_trials;
   /// Pooled aggregate: for stratified campaigns, the exact fold of every
   /// per-stratum accumulator (so uniform-only consumers still read totals).
   OutcomeAccumulator acc;
-  /// Present iff the campaign ran a non-uniform sampler (v5).
+  /// Present iff the campaign ran a non-uniform sampler.
   std::optional<StratifiedCheckpoint> stratified;
+
+  StatsAxes axes() const { return StatsAxes{accel, fault_op, sampler}; }
+  void set_axes(const StatsAxes& a) {
+    accel = a.accel;
+    fault_op = a.fault_op;
+    sampler = a.sampler;
+  }
 };
 
 /// Atomically writes `ck` to `path` (tmp file + rename). kIo on failure.
@@ -180,14 +197,11 @@ void save_shard_checkpoint(const std::string& path, const ShardCheckpoint& ck);
 /// Throwing wrapper over try_load_shard_checkpoint.
 ShardCheckpoint load_shard_checkpoint(const std::string& path);
 
-/// Validates that a loaded checkpoint was produced on the given accelerator
-/// geometry, fault operation, and sampler (canonical identity strings).
-/// Fails with kFingerprintMismatch naming both sides — resuming a shard
-/// under a different geometry/op/sampler would silently merge incomparable
-/// trials.
+/// Validates that a loaded checkpoint was produced under `axes` (geometry,
+/// fault operation, and sampler). Fails with kFingerprintMismatch naming
+/// both sides of the first differing axis — resuming a shard under a
+/// different geometry/op/sampler would silently merge incomparable trials.
 Expected<void> validate_checkpoint_axes(const ShardCheckpoint& ck,
-                                        const std::string& accel,
-                                        const std::string& fault_op,
-                                        const std::string& sampler = "uniform");
+                                        const StatsAxes& axes);
 
 }  // namespace dnnfi::fault

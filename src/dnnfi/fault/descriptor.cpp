@@ -12,7 +12,7 @@ std::string FaultDescriptor::describe() const {
        << site_class_name(cls);
     if (cls == SiteClass::kDatapathLatch)
       os << '/' << accel::datapath_latch_name(latch);
-    os << ' ' << effective_op().describe();
+    os << ' ' << op.describe();
     os << " block " << block << " elem " << element;
     if (cls == SiteClass::kDatapathLatch || cls == SiteClass::kPsumReg)
       os << " step " << step;
@@ -29,7 +29,7 @@ std::string FaultDescriptor::describe() const {
   os << " bit " << bit;
   // Legacy single-bit toggles keep the seed format; richer ops render their
   // mask so quarantine reports identify the exact upset pattern.
-  if (!op.is_identity() && !op.is_flip_burst(bit, 1))
+  if (!op.is_flip_burst(bit, 1))
     os << ' ' << op.describe();
   return os.str();
 }

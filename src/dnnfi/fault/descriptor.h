@@ -47,12 +47,10 @@ struct FaultDescriptor {
   std::size_t out_channel = 0;
   std::size_t out_row = 0;
 
-  int bit = 0;    ///< first affected bit, 0 = LSB
-  int burst = 1;  ///< adjacent bits affected (1 = SEU; >1 = multi-bit upset)
+  int bit = 0;  ///< lowest affected bit, 0 = LSB
 
-  /// The fault operation applied to the struck word. The sampler always
-  /// fills it; a default-constructed (identity) op means "legacy toggle
-  /// burst of (bit, burst)" so hand-built descriptors keep working.
+  /// The fault operation applied to the struck word. Never the identity:
+  /// lower() refuses a descriptor whose op changes no bit.
   FaultOp op;
 
   /// Geometry the site was sampled on. Drives describe(); the campaign
@@ -66,11 +64,6 @@ struct FaultDescriptor {
   /// *stored* in this format; the datapath still computes in its own type.
   /// Only meaningful for buffer site classes.
   std::optional<numeric::DType> storage;
-
-  /// The operation to apply, resolving the legacy identity-op convention.
-  FaultOp effective_op() const {
-    return op.is_identity() ? FaultOp::flip(bit, burst) : op;
-  }
 
   /// Human-readable one-liner for logs and examples.
   std::string describe() const;

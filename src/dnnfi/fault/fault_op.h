@@ -177,15 +177,14 @@ inline std::string FaultOp::describe() const {
 ///   "toggle"        single-bit flip (the default)
 ///   "toggle:3"      3-bit contiguous toggle burst (the legacy --burst model)
 ///   "set1:4"        stuck-at-1 over a 4-bit contiguous run
-///   "set0:0x5"      stuck-at-0 over two bits one apart
+///   "set0:0x0005"   stuck-at-0 over two bits one apart
+/// Specs that materialize the same ops share one spelling: a pattern is
+/// anchored at bit 0 and a contiguous pattern is a burst, so "set0:0xa",
+/// "set1:0x3" and "toggle:0x1" print as "set0:0x0005", "set1:2", "toggle".
 struct FaultOpSpec {
   FaultOpKind kind = FaultOpKind::kToggle;
   int burst = 1;               ///< contiguous footprint when pattern == 0
   std::uint64_t pattern = 0;   ///< relative mask; 0 = contiguous burst
-
-  constexpr bool is_default() const noexcept {
-    return kind == FaultOpKind::kToggle && burst == 1 && pattern == 0;
-  }
 
   /// Materializes the op at bit position `bit` (the per-trial sampled bit).
   constexpr FaultOp at(int bit) const {
@@ -194,10 +193,19 @@ struct FaultOpSpec {
     return FaultOp::pattern(kind, rel << bit);
   }
 
+  /// The same footprint in canonical form (see above).
+  constexpr FaultOpSpec canonical() const {
+    if (pattern == 0) return *this;
+    const std::uint64_t rel = pattern >> std::countr_zero(pattern);
+    if ((rel & (rel + 1)) != 0) return FaultOpSpec{kind, 1, rel};
+    return FaultOpSpec{kind, std::popcount(rel), 0};
+  }
+
   std::string to_string() const {
+    const FaultOpSpec c = canonical();
     std::string s = fault_op_kind_name(kind);
-    if (pattern != 0) return s + ":" + detail::hex_mask(pattern);
-    if (burst > 1) return s + ":" + std::to_string(burst);
+    if (c.pattern != 0) return s + ":" + detail::hex_mask(c.pattern);
+    if (c.burst > 1) return s + ":" + std::to_string(c.burst);
     return s;
   }
 
@@ -226,7 +234,7 @@ struct FaultOpSpec {
       if (ec != std::errc{} || p != tail.data() + tail.size() || spec.burst < 1)
         return std::nullopt;
     }
-    return spec;
+    return spec.canonical();
   }
 
   friend constexpr bool operator==(const FaultOpSpec&,

@@ -9,6 +9,7 @@ dnn::AppliedFault lower(const FaultDescriptor& f,
   // A descriptor sampled on one geometry must lower through the same
   // geometry: the site coordinates only mean something there.
   DNNFI_EXPECTS(f.geom == model.config().kind);
+  DNNFI_EXPECTS(!f.op.is_identity());
   accel::SiteCoords c;
   c.cls = f.cls;
   c.latch = f.latch;
@@ -20,7 +21,7 @@ dnn::AppliedFault lower(const FaultDescriptor& f,
   c.pe_col = f.pe_col;
   dnn::AppliedFault a;
   a.layer = mac_layers[f.mac_ordinal];
-  model.lower_site(c, f.effective_op(), f.storage, a);
+  model.lower_site(c, f.op, f.storage, a);
   return a;
 }
 

@@ -17,7 +17,8 @@ namespace dnnfi::fault {
 
 /// Lowers a sampled hardware fault onto the layer-level hook the network
 /// executes, through the geometry the fault was sampled on. `mac_layers`
-/// maps MAC ordinals to NetworkSpec layer indices.
+/// maps MAC ordinals to NetworkSpec layer indices; `f.op` must change at
+/// least one bit (ContractViolation on the identity op).
 dnn::AppliedFault lower(
     const FaultDescriptor& f, const std::vector<std::size_t>& mac_layers,
     const accel::AcceleratorModel& model = accel::eyeriss_model());

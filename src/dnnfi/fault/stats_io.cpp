@@ -4,25 +4,30 @@
 #include <sstream>
 
 #include "dnnfi/common/atomic_file.h"
-#include "dnnfi/fault/adaptive_sampler.h"
 
 namespace dnnfi::fault {
+
+std::vector<StratumCounts> stratum_counts(
+    const std::vector<StratumCheckpoint>& strata, Criterion criterion) {
+  std::vector<StratumCounts> counts(strata.size());
+  for (std::size_t h = 0; h < strata.size(); ++h) {
+    counts[h].weight = strata[h].weight;
+    counts[h].hits = (strata[h].acc.*criterion)().hits;
+    counts[h].n = strata[h].acc.trials();
+  }
+  return counts;
+}
 
 namespace {
 
 /// The four `ht <criterion> ...` lines: HT point estimate, stratified 95%
 /// interval, and effective sample size, all in exact hex floats.
-void write_ht_line(std::ostream& os, const char* criterion,
-                   const StratifiedStatsSection& strat,
-                   std::uint64_t StratumStats::*hits) {
-  std::vector<StratumCounts> counts(strat.strata.size());
-  for (std::size_t h = 0; h < strat.strata.size(); ++h) {
-    counts[h].weight = strat.strata[h].weight;
-    counts[h].hits = strat.strata[h].*hits;
-    counts[h].n = strat.strata[h].trials;
-  }
-  const StratifiedEstimate e = stratified_estimate(counts);
-  os << "ht " << criterion << " p " << e.est.p << " ci95 " << e.est.ci95
+void write_ht_line(std::ostream& os, const char* name,
+                   const std::vector<StratumCheckpoint>& strata,
+                   Criterion criterion) {
+  const StratifiedEstimate e =
+      stratified_estimate(stratum_counts(strata, criterion));
+  os << "ht " << name << " p " << e.est.p << " ci95 " << e.est.ci95
      << " lo " << e.est.lo << " hi " << e.est.hi << " n_eff " << e.n_eff
      << "\n";
 }
@@ -32,26 +37,14 @@ void write_ht_line(std::ostream& os, const char* criterion,
 void write_stats(std::ostream& os, std::uint64_t fingerprint,
                  const OutcomeAccumulator& acc, std::uint64_t masked_exits,
                  const std::vector<std::uint64_t>& aborted_trials,
-                 const StatsAxes& axes, const StratifiedStatsSection* strat) {
-  DNNFI_EXPECTS(strat == nullptr || axes.sampler != "uniform");
-  // Default axes emit the exact v3 bytes: pre-refactor stats diff clean.
-  if (axes.is_default()) {
-    os << "dnnfi-campaign-stats v3\n";
-    os << "fingerprint " << fingerprint << "\n";
-  } else if (axes.sampler == "uniform") {
-    os << "dnnfi-campaign-stats v4\n";
-    os << "fingerprint " << fingerprint << "\n";
-    os << "accel " << axes.accel << "\n";
-    os << "fault_op " << axes.fault_op << "\n";
-  } else {
-    os << "dnnfi-campaign-stats v5\n";
-    os << "fingerprint " << fingerprint << "\n";
-    os << "sampler " << axes.sampler << "\n";
-    if (!axes.geometry_default()) {
-      os << "accel " << axes.accel << "\n";
-      os << "fault_op " << axes.fault_op << "\n";
-    }
-  }
+                 const StatsAxes& axes,
+                 const std::vector<StratumCheckpoint>* strata) {
+  DNNFI_EXPECTS(strata == nullptr || axes.sampler != "uniform");
+  os << "dnnfi-campaign-stats v6\n";
+  os << "fingerprint " << fingerprint << "\n";
+  os << "accel " << axes.accel << "\n";
+  os << "fault_op " << axes.fault_op << "\n";
+  os << "sampler " << axes.sampler << "\n";
   os << "trials " << acc.trials() << "\n";
   os << "masked_exits " << masked_exits << "\n";
   os << "aborted " << aborted_trials.size() << "\n";
@@ -74,20 +67,20 @@ void write_stats(std::ostream& os, std::uint64_t fingerprint,
        << " dist_sum " << std::hexfloat << acc.block_distance_sum(b)
        << " log10_mean " << acc.block_log10_mean(b) << "\n";
   }
-  if (strat != nullptr) {
+  if (strata != nullptr) {
     os << std::defaultfloat;
-    os << "strata " << strat->strata.size() << "\n";
-    for (const StratumStats& h : strat->strata) {
+    os << "strata " << strata->size() << "\n";
+    for (const StratumCheckpoint& h : *strata) {
       os << "stratum " << h.id << " weight " << std::hexfloat << h.weight
-         << std::defaultfloat << " trials " << h.trials << " sdc1 " << h.sdc1
-         << " sdc5 " << h.sdc5 << " sdc10 " << h.sdc10 << " sdc20 "
-         << h.sdc20 << "\n";
+         << std::defaultfloat << " trials " << h.acc.trials() << " sdc1 "
+         << h.acc.sdc1().hits << " sdc5 " << h.acc.sdc5().hits << " sdc10 "
+         << h.acc.sdc10().hits << " sdc20 " << h.acc.sdc20().hits << "\n";
     }
     os << std::hexfloat;
-    write_ht_line(os, "sdc1", *strat, &StratumStats::sdc1);
-    write_ht_line(os, "sdc5", *strat, &StratumStats::sdc5);
-    write_ht_line(os, "sdc10", *strat, &StratumStats::sdc10);
-    write_ht_line(os, "sdc20", *strat, &StratumStats::sdc20);
+    write_ht_line(os, "sdc1", *strata, &OutcomeAccumulator::sdc1);
+    write_ht_line(os, "sdc5", *strata, &OutcomeAccumulator::sdc5);
+    write_ht_line(os, "sdc10", *strata, &OutcomeAccumulator::sdc10);
+    write_ht_line(os, "sdc20", *strata, &OutcomeAccumulator::sdc20);
   }
   os << std::defaultfloat;
 }
@@ -96,9 +89,10 @@ Expected<void> write_stats_file(
     const std::string& path, std::uint64_t fingerprint,
     const OutcomeAccumulator& acc, std::uint64_t masked_exits,
     const std::vector<std::uint64_t>& aborted_trials, const StatsAxes& axes,
-    const StratifiedStatsSection* strat) {
+    const std::vector<StratumCheckpoint>* strata) {
   std::ostringstream os;
-  write_stats(os, fingerprint, acc, masked_exits, aborted_trials, axes, strat);
+  write_stats(os, fingerprint, acc, masked_exits, aborted_trials, axes,
+              strata);
   auto written = write_file_atomic(path, os.str());
   if (!written.ok())
     return fail(Errc::kIo, "stats file " + path + ": " +

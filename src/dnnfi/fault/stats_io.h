@@ -2,17 +2,13 @@
 // text, so bit-identity across shardings/processes is a plain `diff`.
 // Counters print in decimal and doubles as C99 hex floats (no rounding).
 //
-// Format (v3; v4 when non-default axes are selected; v5 when a non-default
-// sampler is selected):
+// Format (v6, one shape for every campaign):
 //
-//   dnnfi-campaign-stats v3
+//   dnnfi-campaign-stats v6
 //   fingerprint <u64>
-//   sampler <id>                — v5 only: emitted when the campaign ran a
-//                                 non-uniform sampler
-//   accel <geometry>            — v4/v5: emitted when the campaign ran a
-//   fault_op <op>                 non-default accelerator geometry or fault
-//                                 op; default campaigns keep the exact v3
-//                                 bytes so pre-refactor stats diff clean
+//   accel <geometry>            — the campaign identity (StatsAxes), always
+//   fault_op <op>                 present: "eyeriss", "toggle", "uniform"
+//   sampler <id>                  for the paper's configuration
 //   trials <n>
 //   masked_exits <n>            — how trials were *executed* (early exits);
 //                                 the one line that may differ between
@@ -21,7 +17,7 @@
 //   aborted_trial <idx>         — one line per quarantined trial, ascending;
 //                                 always `aborted 0` for monolithic runs
 //   sdc1/sdc5/... counters, then per-block live/masked/distance lines
-//   strata <H>                  — v5 stratified section: one line per
+//   strata <H>                  — stratified campaigns only: one line per
 //   stratum <id> weight ...       stratum (canonical order, exact hex-float
 //                                 weights + per-criterion hit counts), then
 //   ht sdc1 p ... n_eff <r>     — the Horvitz–Thompson estimates with
@@ -39,57 +35,34 @@
 
 #include "dnnfi/common/error.h"
 #include "dnnfi/fault/accumulator.h"
+#include "dnnfi/fault/adaptive_sampler.h"
+#include "dnnfi/fault/checkpoint.h"
 
 namespace dnnfi::fault {
 
-/// The campaign's (geometry, fault-op, sampler) identity, as canonical
-/// strings. Defaults are the paper's configuration: stats stay
-/// byte-identical v3.
-struct StatsAxes {
-  std::string accel = "eyeriss";
-  std::string fault_op = "toggle";
-  std::string sampler = "uniform";
+/// One SDC criterion of an accumulator, e.g. &OutcomeAccumulator::sdc1.
+using Criterion = Estimate (OutcomeAccumulator::*)() const;
 
-  bool is_default() const noexcept {
-    return geometry_default() && sampler == "uniform";
-  }
-  bool geometry_default() const noexcept {
-    return accel == "eyeriss" && fault_op == "toggle";
-  }
-};
+/// Per-stratum sufficient statistics with `hits` counted by `criterion` —
+/// what stratified_estimate() consumes.
+std::vector<StratumCounts> stratum_counts(
+    const std::vector<StratumCheckpoint>& strata, Criterion criterion);
 
-/// One stratum's line of the v5 stats section: identity, exact weight, and
-/// per-criterion hit counts — the sufficient statistics the HT lines (and
-/// any offline re-analysis) are computed from.
-struct StratumStats {
-  std::string id;
-  double weight = 0;
-  std::uint64_t trials = 0;
-  std::uint64_t sdc1 = 0;
-  std::uint64_t sdc5 = 0;
-  std::uint64_t sdc10 = 0;
-  std::uint64_t sdc20 = 0;
-};
-
-/// The stratified section of a v5 stats file (canonical stratum order).
-struct StratifiedStatsSection {
-  std::vector<StratumStats> strata;
-};
-
-/// Streams the deterministic stats dump. `strat` (stratified campaigns
+/// Streams the deterministic stats dump. `strata` (stratified campaigns
 /// only; requires a non-uniform axes.sampler) appends the per-stratum and
 /// Horvitz–Thompson lines.
 void write_stats(std::ostream& os, std::uint64_t fingerprint,
                  const OutcomeAccumulator& acc, std::uint64_t masked_exits,
                  const std::vector<std::uint64_t>& aborted_trials = {},
                  const StatsAxes& axes = {},
-                 const StratifiedStatsSection* strat = nullptr);
+                 const std::vector<StratumCheckpoint>* strata = nullptr);
 
 /// Atomically writes the dump to `path`. kIo on any filesystem failure.
 Expected<void> write_stats_file(
     const std::string& path, std::uint64_t fingerprint,
     const OutcomeAccumulator& acc, std::uint64_t masked_exits,
     const std::vector<std::uint64_t>& aborted_trials = {},
-    const StatsAxes& axes = {}, const StratifiedStatsSection* strat = nullptr);
+    const StatsAxes& axes = {},
+    const std::vector<StratumCheckpoint>* strata = nullptr);
 
 }  // namespace dnnfi::fault

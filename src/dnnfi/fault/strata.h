@@ -97,8 +97,8 @@ struct Stratum {
 class StratumSet {
  public:
   /// Builds the partition for campaigns of `site` under `sampler`'s
-  /// (topology, dtype, geometry). `base` carries the campaign's op/burst/
-  /// storage fields; its fixed_bit/fixed_block/fixed_latch must be unset
+  /// (topology, dtype, geometry). `base` carries the campaign's fault op
+  /// and buffer storage; its fixed_bit/fixed_block/fixed_latch must be unset
   /// (stratified campaigns stratify the whole population).
   StratumSet(const Sampler& sampler, SiteClass site,
              const SampleConstraint& base = {});

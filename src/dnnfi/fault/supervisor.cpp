@@ -840,8 +840,7 @@ class Supervisor {
                       " of " + std::to_string(opt_.trials));
 
     std::string network;
-    std::string accel = "eyeriss";
-    std::string fault_op = "toggle";
+    StatsAxes axes;
     for (const Completed& c : completed_) {
       auto loaded = try_load_shard_checkpoint(c.path);
       if (!loaded.ok()) return loaded.error();
@@ -850,18 +849,16 @@ class Supervisor {
       report_.masked_exits += ck.masked_exits;
       report_.fingerprint = ck.fingerprint;
       network = ck.network;
-      accel = ck.accel;
-      fault_op = ck.fault_op;
+      axes = ck.axes();
     }
     report_.aborted_trials = sorted_aborted();
 
     // Leave the merged state behind as a self-describing checkpoint that
-    // carries the same geometry/op identity as its shards.
+    // carries the same campaign identity as its shards.
     ShardCheckpoint merged;
     merged.fingerprint = report_.fingerprint;
     merged.network = network;
-    merged.accel = accel;
-    merged.fault_op = fault_op;
+    merged.set_axes(axes);
     merged.trials_total = opt_.trials;
     merged.shard_begin = 0;
     merged.shard_end = opt_.trials;

@@ -144,8 +144,9 @@ struct SupervisorReport {
 
 /// Runs the supervised campaign to completion (or cancellation). Returns
 /// the merged report, or the first fatal Error. Also writes the merged
-/// state as `<checkpoint_dir>/campaign.ckpt` (format v3, aborted_trials
-/// enumerated) so a finished campaign is self-describing on disk.
+/// state as `<checkpoint_dir>/campaign.ckpt` (the shards' identity,
+/// aborted_trials enumerated) so a finished campaign is self-describing on
+/// disk.
 Expected<SupervisorReport> supervise(const SupervisorOptions& opt);
 
 }  // namespace dnnfi::fault

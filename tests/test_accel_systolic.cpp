@@ -344,7 +344,7 @@ TEST(ColumnPropagationLaw, LoweredPsumStrikeHonorsTheLawThroughTheNetwork) {
     EXPECT_EQ(c.first_out, f.element);
     EXPECT_EQ(c.step, f.step);
     EXPECT_EQ(c.col, f.pe_col);
-    EXPECT_EQ(c.op, f.effective_op());
+    EXPECT_EQ(c.op, f.op);
   }
 }
 

@@ -299,21 +299,37 @@ TEST_F(CheckpointErrors, V3FileIsRejectedWithVersionSkew) {
   EXPECT_NE(r.error().message.find("version 3"), std::string::npos);
 }
 
+TEST_F(CheckpointErrors, V5FileIsRejectedWithVersionSkew) {
+  // v5 shares v6's layout, but its fingerprint folded the accel, fault-op
+  // and sampler axes only when non-default: no v5 fingerprint can match a
+  // v6 campaign. The version gate says so instead of a misleading
+  // fingerprint mismatch.
+  ASSERT_TRUE(fault::try_save_shard_checkpoint(path_, sample()).ok());
+  std::string bytes = read_all();
+  bytes[8] = 5;
+  write_all(bytes);
+  const auto r = fault::try_load_shard_checkpoint(path_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::kVersionSkew);
+  EXPECT_NE(r.error().message.find("version 5"), std::string::npos);
+}
+
 TEST_F(CheckpointErrors, AcceleratorAxesRoundTrip) {
   fault::ShardCheckpoint ck = sample();
-  ck.accel = "systolic:16x16";
-  ck.fault_op = "set1:4";
+  ck.set_axes(fault::StatsAxes{"systolic:16x16", "set1:4",
+                               "stratified(pilot=4,round=256,ci=0.005)"});
   ASSERT_TRUE(fault::try_save_shard_checkpoint(path_, ck).ok());
   const auto r = fault::try_load_shard_checkpoint(path_);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().accel, "systolic:16x16");
   EXPECT_EQ(r.value().fault_op, "set1:4");
+  EXPECT_EQ(r.value().sampler, "stratified(pilot=4,round=256,ci=0.005)");
 }
 
 TEST_F(CheckpointErrors, MismatchedAcceleratorIsFingerprintMismatch) {
   fault::ShardCheckpoint ck = sample();
   ck.accel = "systolic:16x16";
-  const auto r = fault::validate_checkpoint_axes(ck, "eyeriss", "toggle");
+  const auto r = fault::validate_checkpoint_axes(ck, fault::StatsAxes{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::kFingerprintMismatch);
   EXPECT_FALSE(r.error().retryable());
@@ -323,12 +339,18 @@ TEST_F(CheckpointErrors, MismatchedAcceleratorIsFingerprintMismatch) {
 
 TEST_F(CheckpointErrors, MismatchedFaultOpIsFingerprintMismatch) {
   fault::ShardCheckpoint ck = sample();  // default axes: eyeriss + toggle
-  const auto r = fault::validate_checkpoint_axes(ck, "eyeriss", "set0:0x5");
+  const auto r = fault::validate_checkpoint_axes(
+      ck, fault::StatsAxes{"eyeriss", "set0:0x0005", "uniform"});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::kFingerprintMismatch);
-  EXPECT_NE(r.error().message.find("set0:0x5"), std::string::npos);
+  EXPECT_NE(r.error().message.find("set0:0x0005"), std::string::npos);
+  // A differing sampler is refused the same way.
+  const auto s = fault::validate_checkpoint_axes(
+      ck, fault::StatsAxes{"eyeriss", "toggle", "stratified(pilot=4)"});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, Errc::kFingerprintMismatch);
   // Matching axes validate clean.
-  EXPECT_TRUE(fault::validate_checkpoint_axes(ck, "eyeriss", "toggle").ok());
+  EXPECT_TRUE(fault::validate_checkpoint_axes(ck, fault::StatsAxes{}).ok());
 }
 
 TEST(StatsIo, WriteToUnwritableDirIsIo) {
@@ -344,7 +366,7 @@ TEST(StatsIo, AbortedTrialsAreEnumeratedSorted) {
   std::ostringstream os;
   fault::write_stats(os, 42, acc, 3, {11, 2});
   const std::string s = os.str();
-  EXPECT_NE(s.find("dnnfi-campaign-stats v3"), std::string::npos);
+  EXPECT_EQ(s.rfind("dnnfi-campaign-stats v6\n", 0), 0u);
   EXPECT_NE(s.find("aborted 2\n"), std::string::npos);
   const auto a2 = s.find("aborted_trial 2\n");
   const auto a11 = s.find("aborted_trial 11\n");
@@ -353,21 +375,31 @@ TEST(StatsIo, AbortedTrialsAreEnumeratedSorted) {
   EXPECT_LT(a2, a11);  // ascending regardless of input order
 }
 
-TEST(StatsIo, NonDefaultAxesEmitV4HeaderWithIdentityLines) {
+TEST(StatsIo, IdentityLinesAlwaysPresent) {
+  // One format for every campaign: the header and the accel / fault_op /
+  // sampler lines appear whatever the axes, defaults included.
   fault::OutcomeAccumulator acc;
   std::ostringstream os;
   fault::write_stats(os, 42, acc, 0, {},
-                     fault::StatsAxes{"systolic:8x8", "set1"});
-  const std::string s = os.str();
-  EXPECT_NE(s.find("dnnfi-campaign-stats v4\n"), std::string::npos);
-  EXPECT_NE(s.find("accel systolic:8x8\n"), std::string::npos);
-  EXPECT_NE(s.find("fault_op set1\n"), std::string::npos);
-  // Default axes keep the exact v3 header: no accel/fault_op lines at all.
-  std::ostringstream v3;
-  fault::write_stats(v3, 42, acc, 0, {}, fault::StatsAxes{});
-  EXPECT_NE(v3.str().find("dnnfi-campaign-stats v3\n"), std::string::npos);
-  EXPECT_EQ(v3.str().find("accel "), std::string::npos);
-  EXPECT_EQ(v3.str().find("fault_op "), std::string::npos);
+                     fault::StatsAxes{"systolic:8x8", "set1", "uniform"});
+  EXPECT_EQ(os.str().rfind("dnnfi-campaign-stats v6\n"
+                           "fingerprint 42\n"
+                           "accel systolic:8x8\n"
+                           "fault_op set1\n"
+                           "sampler uniform\n"
+                           "trials 0\n",
+                           0),
+            0u);
+  std::ostringstream def;
+  fault::write_stats(def, 42, acc, 0);
+  EXPECT_EQ(def.str().rfind("dnnfi-campaign-stats v6\n"
+                            "fingerprint 42\n"
+                            "accel eyeriss\n"
+                            "fault_op toggle\n"
+                            "sampler uniform\n"
+                            "trials 0\n",
+                            0),
+            0u);
 }
 
 TEST(StatsIo, CleanRunPrintsAbortedZero) {

@@ -4,9 +4,9 @@
 //  - allocator sanity against hand-computed optima: the marginal-gain rule
 //    reduces to the Neyman allocation, retired/zero-variance components get
 //    only their pilot trials, ties and remainders land deterministically;
-//  - regression lock: `--sampler uniform` is the seed semantics — same
-//    fingerprint, same shard bytes, same v3 stats — no matter how the
-//    stratified knobs are set.
+//  - regression lock: `--sampler uniform` is one campaign — same
+//    fingerprint, same shard bytes, same `sampler uniform` identity — no
+//    matter how the stratified knobs are set.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -351,13 +351,16 @@ TEST(EstimatorStats, UniformSamplerIsSeedSemantics) {
   EXPECT_EQ(a.acc.bytes(), b.acc.bytes());
   EXPECT_EQ(a.masked_exits, b.masked_exits);
 
-  // Uniform campaigns keep emitting the exact v3 stats header: no sampler
-  // line, bytes diff-clean against pre-sampler-axis outputs.
+  // Both spell the same identity in their stats: a `sampler uniform` line
+  // and no stratified section.
+  EXPECT_EQ(campaign_axes(plain).sampler, "uniform");
+  EXPECT_EQ(campaign_axes(uniform).sampler, "uniform");
   std::ostringstream os;
-  write_stats(os, c.fingerprint(plain), a.acc, a.masked_exits);
+  write_stats(os, c.fingerprint(plain), a.acc, a.masked_exits, {},
+              campaign_axes(uniform));
   const std::string text = os.str();
-  EXPECT_EQ(text.rfind("dnnfi-campaign-stats v3\n", 0), 0u);
-  EXPECT_EQ(text.find("sampler"), std::string::npos);
+  EXPECT_EQ(text.rfind("dnnfi-campaign-stats v6\n", 0), 0u);
+  EXPECT_NE(text.find("\nsampler uniform\n"), std::string::npos);
   EXPECT_EQ(text.find("strata"), std::string::npos);
 }
 

@@ -146,6 +146,7 @@ TEST(Lower, MapsEveryClassToTheRightHook) {
   f.element = 42;
   f.step = 7;
   f.bit = 5;
+  f.op = fault::FaultOp::flip(5);
 
   f.cls = SiteClass::kDatapathLatch;
   f.latch = accel::DatapathLatch::kProduct;
@@ -183,7 +184,18 @@ TEST(Lower, MapsEveryClassToTheRightHook) {
 TEST(Lower, OrdinalOutOfRangeThrows) {
   FaultDescriptor f;
   f.mac_ordinal = 9;
+  f.op = fault::FaultOp::flip(0);
   EXPECT_THROW(lower(f, {0, 1}), ContractViolation);
+}
+
+TEST(Lower, IdentityOpThrows) {
+  // A descriptor whose op changes no bit is not a fault: lowering refuses
+  // it rather than guessing a default upset.
+  FaultDescriptor f;
+  f.bit = 3;
+  EXPECT_THROW(lower(f, {0, 1}), ContractViolation);
+  f.op = fault::FaultOp::flip(3);
+  EXPECT_NO_THROW(lower(f, {0, 1}));
 }
 
 TEST(Outcome, Sdc1And5Criteria) {

@@ -81,7 +81,9 @@ void record_bytes(ByteWriter& w, std::uint64_t trial, const TrialRecord& t) {
   w.u64(t.fault.out_channel);
   w.u64(t.fault.out_row);
   w.u32(static_cast<std::uint32_t>(t.fault.bit));
-  w.u32(static_cast<std::uint32_t>(t.fault.burst));
+  w.u64(t.fault.op.set0);
+  w.u64(t.fault.op.set1);
+  w.u64(t.fault.op.toggle);
   w.u8(t.outcome.sdc1 ? 1 : 0);
   w.u8(t.outcome.sdc5 ? 1 : 0);
   w.u8(t.outcome.sdc10 ? 1 : 0);

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "dnnfi/common/exact_sum.h"
 #include "dnnfi/common/rng.h"
@@ -201,6 +203,7 @@ TEST(Descriptor, DescribeNamesSiteAndScope) {
   f.out_channel = 2;
   f.out_row = 5;
   f.bit = 9;
+  f.op = fault::FaultOp::flip(9);
   const std::string d = f.describe();
   EXPECT_NE(d.find("img-reg"), std::string::npos);
   EXPECT_NE(d.find("block 3"), std::string::npos);
@@ -328,6 +331,23 @@ TEST(FaultOpSpecRoundTrip, CanonicalStringsParseBack) {
                         "set0:abc", "flip"}) {
     EXPECT_FALSE(fault::FaultOpSpec::parse(s).has_value()) << s;
   }
+  // Spellings of one footprint share one identity: patterns anchor at bit
+  // 0 and contiguous patterns become bursts.
+  for (const auto& [in, canonical] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"set0:0xa", "set0:0x0005"},
+           {"set0:0x5", "set0:0x0005"},
+           {"set1:0x3", "set1:2"},
+           {"set1:0xc", "set1:2"},
+           {"toggle:0x1", "toggle"},
+           {"toggle:0x80", "toggle"},
+           {"toggle:0xffffffffffffffff", "toggle:64"}}) {
+    const auto spec = fault::FaultOpSpec::parse(in);
+    ASSERT_TRUE(spec.has_value()) << in;
+    EXPECT_EQ(spec->to_string(), canonical) << in;
+    EXPECT_EQ(spec, fault::FaultOpSpec::parse(canonical)) << in;
+    EXPECT_EQ(spec->at(7), fault::FaultOpSpec::parse(canonical)->at(7)) << in;
+  }
   // Materializing at a bit shifts the relative footprint to that anchor.
   const auto burst = fault::FaultOpSpec::parse("toggle:3");
   EXPECT_EQ(burst->at(5), fault::FaultOp::flip(5, 3));
@@ -375,8 +395,7 @@ TEST(FaultOpKernels, FaultyRunsBitIdenticalAcrossScalarAndAvx2) {
       for (const auto kind :
            {fault::FaultOpKind::kToggle, fault::FaultOpKind::kSet0,
             fault::FaultOpKind::kSet1}) {
-        sc.op_kind = kind;
-        sc.burst = 1 + (i++ % 3);
+        sc.op = fault::FaultOpSpec{kind, 1 + (i++ % 3)};
         faults.push_back(sampler.sample(cls, rng, sc));
       }
     }

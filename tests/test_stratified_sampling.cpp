@@ -331,23 +331,10 @@ TEST(StratifiedSampling, ThreadCountInvariance) {
 
 std::string stats_text(const Campaign& c, const CampaignOptions& opt,
                        const StratifiedResult& r) {
-  StratifiedStatsSection section;
-  for (std::size_t h = 0; h < r.strata.size(); ++h) {
-    StratumStats st;
-    st.id = r.strata[h].id();
-    st.weight = r.weights[h];
-    st.trials = r.per_stratum[h].trials();
-    st.sdc1 = r.per_stratum[h].sdc1().hits;
-    st.sdc5 = r.per_stratum[h].sdc5().hits;
-    st.sdc10 = r.per_stratum[h].sdc10().hits;
-    st.sdc20 = r.per_stratum[h].sdc20().hits;
-    section.strata.push_back(std::move(st));
-  }
-  StatsAxes axes;
-  axes.sampler = sampler_id(opt);
+  const std::vector<StratumCheckpoint> strata = r.stratum_state();
   std::ostringstream os;
-  write_stats(os, c.fingerprint(opt), r.pooled, r.masked_exits, {}, axes,
-              &section);
+  write_stats(os, c.fingerprint(opt), r.pooled, r.masked_exits, {},
+              campaign_axes(opt), &strata);
   return os.str();
 }
 

@@ -96,6 +96,25 @@ class SupervisorTest : public ::testing::Test {
            " " + extra;
   }
 
+  /// `merge --out` is the third CLI stats emitter (after `run --out` and
+  /// `supervise --out`): merged shard checkpoints must print the monolithic
+  /// run's bytes, identity lines included, on any axes.
+  void expect_merge_matches_monolithic(const std::string& axes) {
+    const std::string run =
+        std::string("run ") + kCampaignFlags + " --no-progress " + axes;
+    for (const std::string& cmd :
+         {run + " --out " + path("mono.stats"),
+          run + " --shard 0:40 --checkpoint " + path("a.ckpt"),
+          run + " --shard 40:64 --checkpoint " + path("b.ckpt"),
+          "merge " + path("a.ckpt") + " " + path("b.ckpt") + " --out " +
+              path("merged.stats")})
+      ASSERT_EQ(run_tool(cmd, "", path("cli.log")), 0)
+          << cmd << "\n" << read_file(path("cli.log"));
+    const std::string mono = read_file(path("mono.stats"));
+    ASSERT_FALSE(mono.empty());
+    EXPECT_EQ(read_file(path("merged.stats")), mono);
+  }
+
   fs::path dir_;
 };
 
@@ -233,6 +252,40 @@ TEST_F(SupervisorTest, GracefulSigtermSavesCheckpointAndResumeMatches) {
             0)
       << read_file(path("rerun.log"));
   EXPECT_EQ(read_file(out), mono);
+}
+
+TEST_F(SupervisorTest, MergedShardsMatchMonolithicOnDefaultAxes) {
+  expect_merge_matches_monolithic("");
+  EXPECT_NE(read_file(path("merged.stats"))
+                .find("\naccel eyeriss\nfault_op toggle\nsampler uniform\n"),
+            std::string::npos);
+}
+
+TEST_F(SupervisorTest, MergedShardsMatchMonolithicOnSystolicStuckAt1) {
+  expect_merge_matches_monolithic("--accel systolic:8x8 --fault-op set1");
+  EXPECT_NE(read_file(path("merged.stats"))
+                .find("\naccel systolic:8x8\nfault_op set1\nsampler "
+                      "uniform\n"),
+            std::string::npos);
+}
+
+TEST_F(SupervisorTest, StratifiedMergeMatchesTheRunsOwnStats) {
+  const std::string ckpt = path("strat.ckpt");
+  ASSERT_EQ(run_tool(std::string("run ") + kCampaignFlags +
+                         " --no-progress --sampler stratified --ci-target 0"
+                         " --checkpoint " + ckpt + " --out " +
+                         path("run.stats"),
+                     "", path("run.log")),
+            0)
+      << read_file(path("run.log"));
+  ASSERT_EQ(run_tool("merge " + ckpt + " --out " + path("merged.stats"), "",
+                     path("merge.log")),
+            0)
+      << read_file(path("merge.log"));
+  const std::string run = read_file(path("run.stats"));
+  EXPECT_NE(run.find("\nsampler stratified("), std::string::npos);
+  EXPECT_NE(run.find("\nstratum "), std::string::npos);
+  EXPECT_EQ(read_file(path("merged.stats")), run);
 }
 
 }  // namespace

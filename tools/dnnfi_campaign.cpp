@@ -330,17 +330,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-std::string sampler_cli_id(const Args& a) {
-  return a.sampler == fault::SamplerMode::kStratified
-             ? a.stratified.to_string()
-             : std::string("uniform");
-}
-
-fault::StatsAxes stats_axes(const Args& a) {
-  return fault::StatsAxes{a.accel.to_string(), a.fault_op.to_string(),
-                          sampler_cli_id(a)};
-}
-
 std::vector<dnn::Example> test_inputs(NetworkId id, std::size_t n) {
   const auto ds = data::dataset_for(id);
   std::vector<dnn::Example> v;
@@ -368,14 +357,13 @@ void print_summary(const std::string& title,
 }
 
 /// Writes the stats dump or exits with the taxonomy code for the failure.
-int emit_stats_or_fail(const std::string& path, std::uint64_t fingerprint,
-                       const fault::OutcomeAccumulator& acc,
-                       std::uint64_t masked_exits,
-                       const std::vector<std::uint64_t>& aborted = {},
-                       const fault::StatsAxes& axes = {},
-                       const fault::StratifiedStatsSection* strat = nullptr) {
+int emit_stats_or_fail(
+    const std::string& path, std::uint64_t fingerprint,
+    const fault::OutcomeAccumulator& acc, std::uint64_t masked_exits,
+    const std::vector<std::uint64_t>& aborted, const fault::StatsAxes& axes,
+    const std::vector<fault::StratumCheckpoint>* strata = nullptr) {
   auto written = fault::write_stats_file(path, fingerprint, acc, masked_exits,
-                                         aborted, axes, strat);
+                                         aborted, axes, strata);
   if (!written.ok()) {
     std::cerr << "error: " << written.error().to_string() << "\n";
     return exit_code(written.error().code);
@@ -383,68 +371,24 @@ int emit_stats_or_fail(const std::string& path, std::uint64_t fingerprint,
   return 0;
 }
 
-/// The v5 stats section of a finished stratified run.
-fault::StratifiedStatsSection strat_section(const fault::StratifiedResult& r) {
-  fault::StratifiedStatsSection s;
-  s.strata.reserve(r.strata.size());
-  for (std::size_t h = 0; h < r.strata.size(); ++h) {
-    fault::StratumStats st;
-    st.id = r.strata[h].id();
-    st.weight = r.weights[h];
-    st.trials = r.per_stratum[h].trials();
-    st.sdc1 = r.per_stratum[h].sdc1().hits;
-    st.sdc5 = r.per_stratum[h].sdc5().hits;
-    st.sdc10 = r.per_stratum[h].sdc10().hits;
-    st.sdc20 = r.per_stratum[h].sdc20().hits;
-    s.strata.push_back(std::move(st));
-  }
-  return s;
-}
-
-/// Same section rebuilt from a v5 checkpoint (for `merge`): identical bytes
-/// to the run-time emission because both reduce to the same counters.
-fault::StratifiedStatsSection strat_section(
-    const fault::StratifiedCheckpoint& ck) {
-  fault::StratifiedStatsSection s;
-  s.strata.reserve(ck.strata.size());
-  for (const auto& h : ck.strata) {
-    fault::StratumStats st;
-    st.id = h.id;
-    st.weight = h.weight;
-    st.trials = h.acc.trials();
-    st.sdc1 = h.acc.sdc1().hits;
-    st.sdc5 = h.acc.sdc5().hits;
-    st.sdc10 = h.acc.sdc10().hits;
-    st.sdc20 = h.acc.sdc20().hits;
-    s.strata.push_back(std::move(st));
-  }
-  return s;
-}
-
-/// Horvitz–Thompson estimates of a stratified section: unbiased population
+/// Horvitz–Thompson estimates of a stratified campaign: unbiased population
 /// rates with stratified 95% intervals and the effective sample size.
-void print_ht_summary(const fault::StratifiedStatsSection& s,
+void print_ht_summary(const std::vector<fault::StratumCheckpoint>& strata,
                       std::uint64_t executed) {
   Table t("stratified estimates (Horvitz–Thompson)");
   t.header({"metric", "estimate", "n_eff"});
-  const auto row = [&](const char* name,
-                       std::uint64_t fault::StratumStats::*hits) {
-    std::vector<fault::StratumCounts> c(s.strata.size());
-    for (std::size_t h = 0; h < s.strata.size(); ++h) {
-      c[h].weight = s.strata[h].weight;
-      c[h].hits = s.strata[h].*hits;
-      c[h].n = s.strata[h].trials;
-    }
-    const fault::StratifiedEstimate e = fault::stratified_estimate(c);
+  const auto row = [&](const char* name, fault::Criterion criterion) {
+    const fault::StratifiedEstimate e =
+        fault::stratified_estimate(fault::stratum_counts(strata, criterion));
     t.row({name, Table::pct_ci(e.est.p, e.est.ci95),
            std::to_string(static_cast<std::uint64_t>(e.n_eff))});
   };
-  row("SDC-1", &fault::StratumStats::sdc1);
-  row("SDC-5", &fault::StratumStats::sdc5);
-  row("SDC-10%", &fault::StratumStats::sdc10);
-  row("SDC-20%", &fault::StratumStats::sdc20);
+  row("SDC-1", &fault::OutcomeAccumulator::sdc1);
+  row("SDC-5", &fault::OutcomeAccumulator::sdc5);
+  row("SDC-10%", &fault::OutcomeAccumulator::sdc10);
+  row("SDC-20%", &fault::OutcomeAccumulator::sdc20);
   t.print(std::cout);
-  std::cout << "(" << s.strata.size() << " strata, " << executed
+  std::cout << "(" << strata.size() << " strata, " << executed
             << " trials executed)\n";
 }
 
@@ -455,9 +399,7 @@ fault::CampaignOptions campaign_options(const Args& a) {
   opt.site = a.site;
   opt.constraint.fixed_bit = a.bit;
   opt.constraint.fixed_block = a.layer;
-  opt.constraint.op_kind = a.fault_op.kind;
-  opt.constraint.burst = a.fault_op.burst;
-  opt.constraint.op_pattern = a.fault_op.pattern;
+  opt.constraint.op = a.fault_op;
   opt.accel = a.accel;
   opt.sampler = a.sampler;
   opt.stratified = a.stratified;
@@ -468,8 +410,8 @@ fault::CampaignOptions campaign_options(const Args& a) {
 }
 
 /// run/resume with --sampler stratified: the adaptive campaign. Prints the
-/// pooled (raw-count) summary plus the HT estimates; --out emits the v5
-/// stats file with the per-stratum section.
+/// pooled (raw-count) summary plus the HT estimates; --out emits the stats
+/// file with the per-stratum section.
 int cmd_run_stratified(const Args& a) {
   const dnn::Model m = data::pretrained(a.network);
   const fault::Campaign c(m.spec, m.blob, a.dtype,
@@ -509,15 +451,16 @@ int cmd_run_stratified(const Args& a) {
                     std::string(numeric::dtype_name(a.dtype)) + " " +
                     fault::site_class_name(a.site),
                 res.pooled);
-  const fault::StratifiedStatsSection section = strat_section(res);
-  print_ht_summary(section, res.trials);
+  const std::vector<fault::StratumCheckpoint> strata = res.stratum_state();
+  print_ht_summary(strata, res.trials);
   std::cerr << "stratified: " << res.rounds << " round(s), "
             << (res.converged ? "converged on the CI target"
                               : "stopped on the trial budget")
             << "\n";
   if (!a.out.empty())
     return emit_stats_or_fail(a.out, c.fingerprint(opt), res.pooled,
-                              res.masked_exits, {}, stats_axes(a), &section);
+                              res.masked_exits, {}, fault::campaign_axes(opt),
+                              &strata);
   return 0;
 }
 
@@ -577,7 +520,7 @@ int cmd_run(const Args& a, bool resume) {
                 res.acc);
   if (!a.out.empty())
     return emit_stats_or_fail(a.out, c.fingerprint(opt), res.acc,
-                              res.masked_exits, {}, stats_axes(a));
+                              res.masked_exits, {}, fault::campaign_axes(opt));
   return 0;
 }
 
@@ -779,6 +722,7 @@ int cmd_supervise(const Args& a, const char* argv0) {
   so.reload_hosts = &g_reload;
   so.host_fail_limit = a.host_fail_limit;
   so.quarantine_base_s = a.host_quarantine;
+  const fault::StatsAxes axes = fault::campaign_axes(campaign_options(a));
   so.worker_flags = {
       "--network", cli_network_name(a.network),
       "--dtype",   std::string(numeric::dtype_name(a.dtype)),
@@ -787,8 +731,8 @@ int cmd_supervise(const Args& a, const char* argv0) {
       "--seed",    std::to_string(a.seed),
       "--inputs",  std::to_string(a.inputs),
       "--batch",   std::to_string(a.batch),
-      "--accel",   a.accel.to_string(),
-      "--fault-op", a.fault_op.to_string(),
+      "--accel",   axes.accel,
+      "--fault-op", axes.fault_op,
   };
   if (a.bit) {
     so.worker_flags.push_back("--bit");
@@ -835,8 +779,7 @@ int cmd_supervise(const Args& a, const char* argv0) {
   }
   if (!a.out.empty())
     return emit_stats_or_fail(a.out, rep.fingerprint, rep.acc,
-                              rep.masked_exits, rep.aborted_trials,
-                              stats_axes(a));
+                              rep.masked_exits, rep.aborted_trials, axes);
   return 0;
 }
 
@@ -859,12 +802,10 @@ int cmd_merge(const Args& a) {
           Errc::kFingerprintMismatch,
           "shard " + a.files[i] + " belongs to a different campaign than " +
               a.files[0]);
-    if (auto axes = fault::validate_checkpoint_axes(
-            cks[i], cks[0].accel, cks[0].fault_op, cks[0].sampler);
-        !axes.ok())
-      throw fault::CheckpointError(axes.error().code,
-                                   "shard " + a.files[i] + ": " +
-                                       axes.error().message);
+    if (auto ok = fault::validate_checkpoint_axes(cks[i], cks[0].axes());
+        !ok.ok())
+      throw fault::CheckpointError(
+          ok.error().code, "shard " + a.files[i] + ": " + ok.error().message);
   }
 
   // A stratified campaign is one sequential-adaptive run, so its final
@@ -889,12 +830,11 @@ int cmd_merge(const Args& a) {
                       "/" + std::to_string(ck.trials_total) +
                       " budgeted trials (pooled): " + ck.network,
                   ck.acc);
-    const fault::StratifiedStatsSection section = strat_section(*ck.stratified);
-    print_ht_summary(section, ck.acc.trials());
+    print_ht_summary(ck.stratified->strata, ck.acc.trials());
     if (!a.out.empty())
-      return emit_stats_or_fail(
-          a.out, ck.fingerprint, ck.acc, ck.masked_exits, {},
-          fault::StatsAxes{ck.accel, ck.fault_op, ck.sampler}, &section);
+      return emit_stats_or_fail(a.out, ck.fingerprint, ck.acc,
+                                ck.masked_exits, {}, ck.axes(),
+                                &ck.stratified->strata);
     return 0;
   }
   std::vector<std::size_t> order(cks.size());
@@ -929,9 +869,8 @@ int cmd_merge(const Args& a) {
                     cks[0].network,
                 merged);
   if (!a.out.empty())
-    return emit_stats_or_fail(
-        a.out, cks[0].fingerprint, merged, masked, aborted,
-        fault::StatsAxes{cks[0].accel, cks[0].fault_op});
+    return emit_stats_or_fail(a.out, cks[0].fingerprint, merged, masked,
+                              aborted, cks[0].axes());
   return 0;
 }
 

@@ -150,9 +150,7 @@ int cmd_campaign(const Args& a) {
   opt.constraint.fixed_bit = a.bit;
   opt.constraint.fixed_block = a.layer;
   opt.constraint.buffer_storage = a.storage;
-  opt.constraint.op_kind = a.fault_op.kind;
-  opt.constraint.burst = a.fault_op.burst;
-  opt.constraint.op_pattern = a.fault_op.pattern;
+  opt.constraint.op = a.fault_op;
   opt.accel = a.accel;
   const auto r = c.run(opt);
 
@@ -225,9 +223,7 @@ int cmd_inject(const Args& a) {
   opt.constraint.fixed_bit = a.bit;
   opt.constraint.fixed_block = a.layer;
   opt.constraint.buffer_storage = a.storage;
-  opt.constraint.op_kind = a.fault_op.kind;
-  opt.constraint.burst = a.fault_op.burst;
-  opt.constraint.op_pattern = a.fault_op.pattern;
+  opt.constraint.op = a.fault_op;
   opt.accel = a.accel;
   const auto r = c.run(opt);
   const auto& tr = r.trials.front();

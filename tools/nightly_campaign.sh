@@ -56,6 +56,13 @@ echo "== monolithic [0,2000) reference =="
 "$CAMPAIGN" run "${COMMON[@]}" --out "$WORK/full.stats"
 
 echo "== compare =="
+# Every stats file carries the campaign identity, default axes included.
+grep -q '^accel eyeriss$' "$WORK/full.stats" || {
+  echo "FAIL: default stats missing the accel identity line" >&2; exit 1; }
+grep -q '^fault_op toggle$' "$WORK/full.stats" || {
+  echo "FAIL: default stats missing the fault_op identity line" >&2; exit 1; }
+grep -q '^sampler uniform$' "$WORK/full.stats" || {
+  echo "FAIL: default stats missing the sampler identity line" >&2; exit 1; }
 if diff -u "$WORK/full.stats" "$WORK/merged.stats"; then
   echo "PASS: resumed+merged shards are bit-identical to the monolithic run"
 else
@@ -187,8 +194,8 @@ echo "== systolic geometry: supervised 2k-trial campaign, kill/resume merge =="
 # Same contract on the non-default fault-model axes (DESIGN.md §11): a
 # weight-stationary systolic array with stuck-at-1 faults. The supervised
 # (sharded, killed, resumed, merged) run must be bit-identical to a
-# monolithic run of the same campaign, and both must carry the v4 axis
-# identity lines in their stats.
+# monolithic run of the same campaign, and both must carry the campaign's
+# accel / fault_op identity lines in their stats.
 SYS=(--network convnet --dtype FLOAT16 --trials 2000 --seed 20170101
      --inputs 8 --distances --no-progress
      --accel systolic:8x8 --fault-op set1)
@@ -231,7 +238,7 @@ fi
 echo "== stratified sampler: kill/resume/merge byte-identity =="
 # The adaptive stratified campaign (DESIGN.md §12) makes the same
 # determinism promise as the uniform sharded engine: a run stopped by
-# --stop-after and resumed from its v5 checkpoint, and a `merge` of that
+# --stop-after and resumed from its checkpoint, and a `merge` of that
 # finished checkpoint, must both reproduce the uninterrupted run's stats
 # file byte-for-byte — per-stratum counts, HT estimate, allocator cursor
 # and all. --ci-target 0 disables the convergence stop so the 2000-trial
