@@ -11,7 +11,8 @@
 // allocation per trial after warm-up, or if the streaming run_shard path's
 // peak live heap grows with trial count — the engine's zero-alloc and the
 // accumulator's flat-memory contracts are enforced here, not just
-// documented.
+// documented. `--profile` only prints the kernel dispatch profile (kernel
+// sets, CPU features, FLOAT16 arithmetic) and exits.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -23,6 +24,9 @@
 #include <iostream>
 #include <new>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #if __has_include(<malloc.h>)
 #include <malloc.h>
@@ -420,8 +424,17 @@ void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
       2.0 * static_cast<double>(cout.size() * g.steps());
   const double fc_flops = 2.0 * static_cast<double>(fg.in * fg.out);
 
+  // Every registered set; for FLOAT16 also the avx512 set's F16C
+  // float-compute MAC kernels as "avx512(f16c)", next to "avx512" (which
+  // runs native AVX512-FP16 arithmetic where the CPU has it).
+  std::vector<std::pair<std::string, const k::KernelSet<T>*>> sets;
   for (const char* name : k::registered_names<T>()) {
-    const k::KernelSet<T>* ks = k::kernel_set<T>(name);
+    sets.emplace_back(name, k::kernel_set<T>(name));
+    if constexpr (std::is_same_v<T, numeric::Half>)
+      if (std::string_view(name) == "avx512")
+        sets.emplace_back("avx512(f16c)", k::avx512_f16c_half_kernels());
+  }
+  for (const auto& [name, ks] : sets) {
     if (ks == nullptr) continue;
     std::vector<T> cpacked(
         k::packed_elems(g.out_c, g.steps(), ks->pack_lanes));
@@ -544,10 +557,13 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
   out << "  \"kernels\": {\"mode\": \"" << prof.mode
       << "\", \"cpu_avx2\": " << (prof.cpu_avx2 ? "true" : "false")
       << ", \"cpu_avx512\": " << (prof.cpu_avx512 ? "true" : "false")
+      << ", \"cpu_avx512fp16\": "
+      << (prof.cpu_avx512fp16 ? "true" : "false")
       << ", \"cpu_f16c\": " << (prof.cpu_f16c ? "true" : "false")
       << ", \"f16c_compiled\": " << (prof.f16c_compiled ? "true" : "false")
       << ", \"active_float\": \"" << prof.active_float
-      << "\", \"active_float16\": \"" << prof.active_float16 << "\"},\n"
+      << "\", \"active_float16\": \"" << prof.active_float16
+      << "\", \"half_arith\": \"" << prof.half_arith << "\"},\n"
       << "  \"kernel_gflops\": [\n";
   for (std::size_t i = 0; i < kc.size(); ++i) {
     const KernelCell& c = kc[i];
@@ -571,9 +587,28 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
     std::cerr << "warning: could not write " << path << "\n";
 }
 
+/// The kernel dispatch profile: which kernel sets this build and CPU run,
+/// and which FLOAT16 arithmetic the avx512 set uses.
+void print_kernel_profile() {
+  const auto p = dnn::kernels::kernel_profile();
+  std::printf(
+      "kernel profile: mode=%s cpu_avx2=%d cpu_f16c=%d cpu_avx512=%d "
+      "cpu_avx512fp16=%d f16c_compiled=%d active_float=%s "
+      "active_float16=%s half_arith=%s\n",
+      p.mode.c_str(), p.cpu_avx2, p.cpu_f16c, p.cpu_avx512, p.cpu_avx512fp16,
+      p.f16c_compiled, p.active_float.c_str(), p.active_float16.c_str(),
+      p.half_arith.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // --profile: print the kernel profile and exit (CI logs it before ctest).
+  for (int i = 1; i < argc; ++i)
+    if (std::string_view(argv[i]) == "--profile") {
+      print_kernel_profile();
+      return 0;
+    }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
@@ -586,6 +621,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(results_dir());
   const std::string json = results_dir() + "/BENCH_perf_micro.json";
   write_json(r, s, kc, lp, json);
+  std::printf("\n");
+  print_kernel_profile();
   std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / fc "
               "1024x1024):\n");
   for (const KernelCell& c : kc)

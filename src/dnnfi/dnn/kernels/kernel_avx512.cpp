@@ -8,17 +8,20 @@
 // emits is either an exported avx512_* entry point or an internal-linkage
 // helper; it instantiates no shared inline library function, so the linker
 // can never pick an EVEX-encoded COMDAT copy of a function that non-AVX-512
-// code paths also call. Remainder rows are handled by TU-local scalar loops
-// that replicate kernel_scalar.h semantics exactly.
+// code paths also call. The blocked loops and the scalar remainder rows come
+// from kernel_avx512_blocked.h, included inside this TU's anonymous
+// namespace for exactly that reason.
 //
 // Bit-identity strategy, unchanged from AVX2: vectorize ACROSS output
 // channels, one output per lane, each lane performing the scalar reference's
-// accumulation chain — (ci, ky, kx) order, separate multiply and add per
-// tap, padded taps multiplying a zero activation. FLOAT16 rounds to half
-// after every multiply and add via VCVTPS2PH (zmm form, AVX512F) with a
-// mask-guarded fixup to the canonical quiet NaN (sign | 0x7E00). A lane's
-// chain never mixes with another lane's, so widening 8 -> 16 lanes cannot
-// change a single output bit relative to scalar or AVX2.
+// accumulation chain; blocking several output pixels per weight load only
+// interleaves independent chains (see kernel_avx512_blocked.h). FLOAT16 here
+// is the F16C arithmetic: compute in float and round to half after every
+// multiply and add (zmm VCVTPS2PH/VCVTPH2PS), the path for AVX-512 CPUs
+// without AVX512-FP16; kernel_avx512fp16.cpp holds the native one. NaNs are
+// canonicalized to sign | 0x7E00 once, at the final store: a NaN is sticky in
+// the chain and keeps its sign through every round trip, so only its payload
+// could differ, and the canonicalization erases the payload.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512_KERNELS)
@@ -35,364 +38,82 @@ namespace {
 
 constexpr int kRne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
-inline std::uint16_t canonical_nan_bits(float v) noexcept {
-  std::uint32_t fb;
-  std::memcpy(&fb, &v, sizeof(fb));
-  return static_cast<std::uint16_t>(((fb >> 16) & 0x8000U) | 0x7E00U);
-}
+#include "dnnfi/dnn/kernels/kernel_avx512_blocked.h"
 
-// float -> half bits with the library's canonical-NaN rule, one lane.
-inline std::uint16_t f2h(float v) noexcept {
-  if (v != v) return canonical_nan_bits(v);
-  return static_cast<std::uint16_t>(_cvtss_sh(v, kRne));
-}
-
-// float -> half bits, 16 lanes, canonical-NaN rule.
-inline __m256i cvtps_ph_canon512(__m512 v) noexcept {
-  __m256i h = _mm512_cvtps_ph(v, kRne);
-  const __mmask16 nan_mask = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
-  if (nan_mask != 0) {
-    alignas(64) float fv[16];
-    alignas(32) std::uint16_t hb[16];
-    _mm512_store_ps(fv, v);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(hb), h);
-    for (int l = 0; l < 16; ++l)
-      if ((nan_mask >> l) & 1) hb[l] = canonical_nan_bits(fv[l]);
-    h = _mm256_load_si256(reinterpret_cast<const __m256i*>(hb));
+struct F32 {
+  using Elem = float;
+  using V = __m512;
+  using Mask = __mmask16;
+  static constexpr std::size_t kLanes = 16;
+  static constexpr Mask kAll = 0xFFFF;
+  static V zero() { return _mm512_setzero_ps(); }
+  static V load(const float* p) { return _mm512_loadu_ps(p); }
+  static V bcast(const float* p) { return _mm512_set1_ps(*p); }
+  static V bcast(Mask m, const float* p) {
+    return _mm512_maskz_mov_ps(m, _mm512_set1_ps(*p));
   }
-  return h;
-}
+  static V mul(V w, V a) { return _mm512_mul_ps(w, a); }
+  static V add(V acc, V x) { return _mm512_add_ps(acc, x); }
+  static void store(V v, float* p) { _mm512_storeu_ps(p, v); }
+};
 
-// ---------------------------------------------------------------------------
-// TU-local scalar remainders, re-stated as in kernel_avx2.cpp so this TU
-// never instantiates an external-linkage template.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-void conv_rows_plain(const ConvGeom& g, const T* in, const T* w_oihw,
-                     const T* bias, T* out, std::size_t co_begin,
-                     std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const T* const wco = w_oihw + co * kvol;
-    const T b = bias[co];
-    T* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        T acc{};
-        const T* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const T* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const T* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              T act{};
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const T product = *w * act;
-              acc += product;
-            }
-          }
-        }
-        acc += b;
-        *op++ = acc;
-      }
-    }
+struct F64 {
+  using Elem = double;
+  using V = __m512d;
+  using Mask = __mmask8;
+  static constexpr std::size_t kLanes = 8;
+  static constexpr Mask kAll = 0xFF;
+  static V zero() { return _mm512_setzero_pd(); }
+  static V load(const double* p) { return _mm512_loadu_pd(p); }
+  static V bcast(const double* p) { return _mm512_set1_pd(*p); }
+  static V bcast(Mask m, const double* p) {
+    return _mm512_maskz_mov_pd(m, _mm512_set1_pd(*p));
   }
-}
+  static V mul(V w, V a) { return _mm512_mul_pd(w, a); }
+  static V add(V acc, V x) { return _mm512_add_pd(acc, x); }
+  static void store(V v, double* p) { _mm512_storeu_pd(p, v); }
+};
 
-template <typename T>
-void fc_rows_plain(const FcGeom& g, const T* in, const T* w, const T* bias,
-                   T* out, std::size_t o_begin, std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    T acc{};
-    const T* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const T product = wr[i] * in[i];
-      acc += product;
-    }
-    acc += bias[o];
-    out[o] = acc;
+/// FLOAT16 via F16C: lanes hold half values widened to float; every
+/// operation rounds back through half (a NaN keeps its sign, its payload is
+/// truncated, and store canonicalizes it). The conversions use the
+/// zero-masked intrinsic forms with an all-lanes mask, the same instructions
+/// as the unmasked ones without GCC 12's false -Wmaybe-uninitialized on their
+/// _mm512_undefined_* pass-through operand.
+struct F16C {
+  using Elem = std::uint16_t;
+  using V = __m512;
+  using Mask = __mmask16;
+  static constexpr std::size_t kLanes = 16;
+  static constexpr Mask kAll = 0xFFFF;
+  static __m512 widen(__m256i h) { return _mm512_maskz_cvtph_ps(kAll, h); }
+  static __m256i narrow(__m512 x) {
+    return _mm512_maskz_cvtps_ph(kAll, x, kRne);
   }
-}
-
-void conv_rows_half_bits(const ConvGeom& g, const std::uint16_t* in,
-                         const std::uint16_t* w_oihw,
-                         const std::uint16_t* bias, std::uint16_t* out,
-                         std::size_t co_begin, std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const std::uint16_t* const wco = w_oihw + co * kvol;
-    const std::uint16_t b = bias[co];
-    std::uint16_t* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        std::uint16_t acc = 0;
-        const std::uint16_t* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const std::uint16_t product =
-                  f2h(_cvtsh_ss(*w) * _cvtsh_ss(act));
-              acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(product));
-            }
-          }
-        }
-        acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(b));
-        *op++ = acc;
-      }
-    }
+  static V round(V x) { return widen(narrow(x)); }
+  static V zero() { return _mm512_setzero_ps(); }
+  static V load(const std::uint16_t* p) {
+    return widen(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
   }
-}
-
-void fc_rows_half_bits(const FcGeom& g, const std::uint16_t* in,
-                       const std::uint16_t* w, const std::uint16_t* bias,
-                       std::uint16_t* out, std::size_t o_begin,
-                       std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    std::uint16_t acc = 0;
-    const std::uint16_t* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const std::uint16_t product = f2h(_cvtsh_ss(wr[i]) * _cvtsh_ss(in[i]));
-      acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(product));
-    }
-    acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(bias[o]));
-    out[o] = acc;
+  static V bcast(const std::uint16_t* p) {
+    return widen(_mm256_set1_epi16(static_cast<short>(*p)));
   }
-}
-
-// ---------------------------------------------------------------------------
-// float: 16 outputs per lane-block.
-// ---------------------------------------------------------------------------
-
-void conv_f32_blocks16(const ConvGeom& g, const float* in, const float* wp,
-                       const float* bias, float* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* const wb = wp + b * kvol * 16;
-    const __m512 bv = _mm512_loadu_ps(bias + b * 16);
-    float* const ob = out + b * 16 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m512 acc = _mm512_setzero_ps();
-        const float* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const float* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const float* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 16) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              float act = 0.0f;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m512 av = _mm512_set1_ps(act);
-              const __m512 wv = _mm512_loadu_ps(w);
-              acc = _mm512_add_ps(acc, _mm512_mul_ps(wv, av));
-            }
-          }
-        }
-        acc = _mm512_add_ps(acc, bv);
-        alignas(64) float lane[16];
-        _mm512_store_ps(lane, acc);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 16; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
+  static V bcast(Mask m, const std::uint16_t* p) {
+    return widen(_mm256_maskz_set1_epi16(m, static_cast<short>(*p)));
   }
-}
-
-void fc_f32_blocks16(const FcGeom& g, const float* in, const float* wp,
-                     const float* bias, float* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* w = wp + b * g.in * 16;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t i = 0; i < g.in; ++i, w += 16) {
-      const __m512 av = _mm512_set1_ps(in[i]);
-      const __m512 wv = _mm512_loadu_ps(w);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(wv, av));
-    }
-    acc = _mm512_add_ps(acc, _mm512_loadu_ps(bias + b * 16));
-    _mm512_storeu_ps(out + b * 16, acc);
+  static V mul(V w, V a) { return round(_mm512_mul_ps(w, a)); }
+  static V add(V acc, V x) { return round(_mm512_add_ps(acc, x)); }
+  static void store(V v, std::uint16_t* p) {
+    const __m256i h = narrow(v);
+    const __mmask16 nan = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
+    const __m256i canon =
+        _mm256_or_si256(_mm256_and_si256(h, _mm256_set1_epi16(
+                                                static_cast<short>(0x8000))),
+                        _mm256_set1_epi16(0x7E00));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
+                        _mm256_mask_mov_epi16(h, nan, canon));
   }
-}
-
-// ---------------------------------------------------------------------------
-// double: 8 outputs per lane-block.
-// ---------------------------------------------------------------------------
-
-void conv_f64_blocks8(const ConvGeom& g, const double* in, const double* wp,
-                      const double* bias, double* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* const wb = wp + b * kvol * 8;
-    const __m512d bv = _mm512_loadu_pd(bias + b * 8);
-    double* const ob = out + b * 8 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m512d acc = _mm512_setzero_pd();
-        const double* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const double* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const double* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 8) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              double act = 0.0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m512d av = _mm512_set1_pd(act);
-              const __m512d wv = _mm512_loadu_pd(w);
-              acc = _mm512_add_pd(acc, _mm512_mul_pd(wv, av));
-            }
-          }
-        }
-        acc = _mm512_add_pd(acc, bv);
-        alignas(64) double lane[8];
-        _mm512_store_pd(lane, acc);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 8; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
-  }
-}
-
-void fc_f64_blocks8(const FcGeom& g, const double* in, const double* wp,
-                    const double* bias, double* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* w = wp + b * g.in * 8;
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t i = 0; i < g.in; ++i, w += 8) {
-      const __m512d av = _mm512_set1_pd(in[i]);
-      const __m512d wv = _mm512_loadu_pd(w);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(wv, av));
-    }
-    acc = _mm512_add_pd(acc, _mm512_loadu_pd(bias + b * 8));
-    _mm512_storeu_pd(out + b * 8, acc);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FLOAT16: 16 outputs per lane-block, rounded to half after every multiply
-// and every add (zmm VCVTPH2PS / VCVTPS2PH, canonical-NaN fixup).
-// ---------------------------------------------------------------------------
-
-void conv_f16_blocks16(const ConvGeom& g, const std::uint16_t* in,
-                       const std::uint16_t* wp, const std::uint16_t* bias,
-                       std::uint16_t* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint16_t* const wb = wp + b * kvol * 16;
-    const __m256i bh =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias + b * 16));
-    std::uint16_t* const ob = out + b * 16 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m256i acch = _mm256_setzero_si256();
-        const std::uint16_t* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 16) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m512 av = _mm512_set1_ps(_cvtsh_ss(act));
-              const __m512 wf = _mm512_cvtph_ps(_mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w)));
-              const __m256i prod =
-                  cvtps_ph_canon512(_mm512_mul_ps(wf, av));
-              acch = cvtps_ph_canon512(_mm512_add_ps(
-                  _mm512_cvtph_ps(acch), _mm512_cvtph_ps(prod)));
-            }
-          }
-        }
-        const __m256i res = cvtps_ph_canon512(_mm512_add_ps(
-            _mm512_cvtph_ps(acch), _mm512_cvtph_ps(bh)));
-        alignas(32) std::uint16_t lane[16];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lane), res);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 16; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
-  }
-}
-
-void fc_f16_blocks16(const FcGeom& g, const std::uint16_t* in,
-                     const std::uint16_t* wp, const std::uint16_t* bias,
-                     std::uint16_t* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint16_t* w = wp + b * g.in * 16;
-    __m256i acch = _mm256_setzero_si256();
-    for (std::size_t i = 0; i < g.in; ++i, w += 16) {
-      const __m512 av = _mm512_set1_ps(_cvtsh_ss(in[i]));
-      const __m512 wf = _mm512_cvtph_ps(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
-      const __m256i prod = cvtps_ph_canon512(_mm512_mul_ps(wf, av));
-      acch = cvtps_ph_canon512(
-          _mm512_add_ps(_mm512_cvtph_ps(acch), _mm512_cvtph_ps(prod)));
-    }
-    const __m256i bh =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias + b * 16));
-    const __m256i res = cvtps_ph_canon512(
-        _mm512_add_ps(_mm512_cvtph_ps(acch), _mm512_cvtph_ps(bh)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b * 16), res);
-  }
-}
+};
 
 }  // namespace
 
@@ -402,18 +123,12 @@ void fc_f16_blocks16(const FcGeom& g, const std::uint16_t* in,
 
 void avx512_conv_float(const ConvGeom& g, const float* in, const float* w,
                        const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out_c / 16;
-  if (blocks > 0) conv_f32_blocks16(g, in, wp, bias, out, blocks);
-  if (blocks * 16 < g.out_c)
-    conv_rows_plain<float>(g, in, w, bias, out, blocks * 16, g.out_c);
+  conv_entry<F32>(g, in, w, wp, bias, out, conv_rows_plain<float>);
 }
 
 void avx512_fc_float(const FcGeom& g, const float* in, const float* w,
                      const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out / 16;
-  if (blocks > 0) fc_f32_blocks16(g, in, wp, bias, out, blocks);
-  if (blocks * 16 < g.out)
-    fc_rows_plain<float>(g, in, w, bias, out, blocks * 16, g.out);
+  fc_entry<F32>(g, in, w, wp, bias, out, fc_rows_plain<float>);
 }
 
 void avx512_relu_float(const float* in, float* out, std::size_t n) {
@@ -429,18 +144,12 @@ void avx512_relu_float(const float* in, float* out, std::size_t n) {
 
 void avx512_conv_double(const ConvGeom& g, const double* in, const double* w,
                         const double* wp, const double* bias, double* out) {
-  const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f64_blocks8(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out_c)
-    conv_rows_plain<double>(g, in, w, bias, out, blocks * 8, g.out_c);
+  conv_entry<F64>(g, in, w, wp, bias, out, conv_rows_plain<double>);
 }
 
 void avx512_fc_double(const FcGeom& g, const double* in, const double* w,
                       const double* wp, const double* bias, double* out) {
-  const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f64_blocks8(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out)
-    fc_rows_plain<double>(g, in, w, bias, out, blocks * 8, g.out);
+  fc_entry<F64>(g, in, w, wp, bias, out, fc_rows_plain<double>);
 }
 
 void avx512_relu_double(const double* in, double* out, std::size_t n) {
@@ -457,29 +166,15 @@ void avx512_relu_double(const double* in, double* out, std::size_t n) {
 void avx512_conv_half(const ConvGeom& g, const numeric::Half* in,
                       const numeric::Half* w, const numeric::Half* wp,
                       const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out_c / 16;
-  if (blocks > 0) conv_f16_blocks16(g, ib, pb, bb, ob, blocks);
-  if (blocks * 16 < g.out_c)
-    conv_rows_half_bits(g, ib, wb, bb, ob, blocks * 16, g.out_c);
+  conv_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out),
+                   conv_rows_half_bits);
 }
 
 void avx512_fc_half(const FcGeom& g, const numeric::Half* in,
                     const numeric::Half* w, const numeric::Half* wp,
                     const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out / 16;
-  if (blocks > 0) fc_f16_blocks16(g, ib, pb, bb, ob, blocks);
-  if (blocks * 16 < g.out)
-    fc_rows_half_bits(g, ib, wb, bb, ob, blocks * 16, g.out);
+  fc_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out),
+                 fc_rows_half_bits);
 }
 
 void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
@@ -491,7 +186,7 @@ void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
   for (; i + 16 <= n; i += 16) {
     const __m256i h =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ip + i));
-    const __m512 f = _mm512_cvtph_ps(h);
+    const __m512 f = F16C::widen(h);
     const __mmask16 m = _mm512_cmp_ps_mask(f, zero, _CMP_GT_OQ);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(op + i),
                         _mm256_maskz_mov_epi16(m, h));

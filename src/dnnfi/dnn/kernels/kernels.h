@@ -11,6 +11,12 @@
 // and call sites with and without SIMD can be mixed freely without changing
 // a single output bit.
 //
+// SIMD sets may also keep several outputs' chains in flight at once: the
+// avx512 MAC kernels (kernel_avx512_blocked.h) hold 8 output pixels x one
+// lane-block of output channels in registers and load each tap's weight
+// vector once for all 8 (FC: 4 lane-blocks sharing each broadcast input).
+// That only interleaves independent chains, so it changes no output bit.
+//
 // One documented hole in the bit-identity claim: when two NaNs with
 // DIFFERENT bit patterns meet in a single addition, x86 keeps whichever
 // operand the compiler put first, and neither IEEE 754 nor C++ pins that
@@ -18,12 +24,27 @@
 // accumulation). Outputs whose chains only ever see one NaN bit pattern
 // (the common case: a single fault-injected NaN propagating, or the fixed
 // "indefinite" NaN from Inf*0 / Inf-Inf) are exact: x86 propagates a lone
-// NaN operand verbatim. Campaign aggregates never resolve the hole either
+// NaN operand verbatim. For FLOAT16 the hole is sign-only: every FLOAT16
+// NaN result is canonicalized to sign | 0x7E00, so two NaNs can differ
+// only in sign. Campaign aggregates never resolve the hole either
 // way, since outcome classification and distance metrics treat all NaNs
 // alike. The other exception is the opt-in "avx2-relaxed" set,
 // which contracts multiply-add (FMA) and, for FLOAT16, accumulates in float:
 // faster, but sums differ by rounding, so it is never selected by default
 // and the campaign bit-identity gates do not hold under it.
+//
+// FLOAT16 arithmetic inside avx512. Where the build has -mavx512fp16 and
+// CPUID reports AVX512-FP16, the avx512 set's FLOAT16 conv/fc compute in
+// native binary16 (VMULPH / VADDPH); elsewhere they compute in float and
+// round to half after every operation (F16C). Both equal the reference:
+// binary32 has 24 >= 2*11+2 significand bits, so rounding a float result
+// to half equals one binary16 rounding (Figueroa 1995), and
+// test_half_native_exhaustive checks all 2^32 operand pairs. Both
+// canonicalize NaNs once, at the final store, which is exact: a NaN is
+// sticky in an add chain and carries its sign the same way in either
+// form, so only its payload could differ, and canonicalization erases
+// the payload. The set keeps the name "avx512" either way;
+// kernel_profile().half_arith says which arithmetic runs.
 //
 // Selection happens once per process: the DNNFI_KERNELS environment variable
 // ("scalar" | "avx2" | "avx2-relaxed" | "avx512" | "auto"/unset) is combined
@@ -170,12 +191,30 @@ struct KernelProfile {
   std::string mode;            ///< requested: auto/scalar/avx2/avx2-relaxed/avx512
   bool cpu_avx2 = false;       ///< CPUID probe results
   bool cpu_avx512 = false;     ///< the avx512 kernel bundle (F+BW+VL+DQ)
+  bool cpu_avx512fp16 = false; ///< AVX512-FP16 on top of that bundle
   bool cpu_f16c = false;
   bool f16c_compiled = false;  ///< hardware Half conversions built in
   std::string active_float;    ///< resolved set name for FLOAT
   std::string active_float16;  ///< resolved set name for FLOAT16
+  /// FLOAT16 MAC arithmetic of the active avx512 set: "native"
+  /// (AVX512-FP16) or "f16c" (float compute); "n/a" under any other set.
+  std::string half_arith = "n/a";
 };
 KernelProfile kernel_profile();
+
+/// The avx512 FLOAT16 set with its MAC kernels pinned to F16C float-compute
+/// arithmetic, i.e. what avx512 resolves to on CPUs without AVX512-FP16;
+/// null where avx512 is unavailable. On an AVX512-FP16 CPU this is the only
+/// way to reach those kernels (tests and benches compare them to scalar).
+const KernelSet<numeric::Half>* avx512_f16c_half_kernels() noexcept;
+
+/// sum[i] = a[i] + b[i] and prod[i] = a[i] * b[i] in native binary16
+/// (VADDPH / VMULPH) with NaNs canonicalized to sign | 0x7E00, the avx512
+/// native FLOAT16 kernels' arithmetic. Returns false and writes nothing when
+/// the build lacks -mavx512fp16 or the CPU lacks AVX512-FP16.
+bool native_half_add_mul(const numeric::Half* a, const numeric::Half* b,
+                         numeric::Half* sum, numeric::Half* prod,
+                         std::size_t n) noexcept;
 
 /// Packed element count for `rows` x `cols` row-major weights interleaved
 /// `lanes` wide: only full blocks of `lanes` rows pack.

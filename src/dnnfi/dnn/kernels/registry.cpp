@@ -160,11 +160,50 @@ const KernelSet<T>* relaxed_set() {
 
 #if defined(DNNFI_ENABLE_AVX512_KERNELS) && defined(DNNFI_ENABLE_AVX2_KERNELS)
 
-/// The AVX-512 set for T: 16-lane float, 8-lane double, 16-lane F16C-path
-/// Half MAC kernels from the -mavx512f TU, post-MAC kernels shared with the
-/// AVX2 TU (every AVX-512 CPU also runs AVX2). Gated on the full avx512
-/// kernel bundle (F+BW+VL+DQ, see numeric/cpu.h) so Knights-Landing-class
-/// parts fall back rather than fault in the Half mask blends.
+/// True when the avx512 FLOAT16 MAC kernels can run native AVX512-FP16
+/// arithmetic: built with -mavx512fp16 and the CPU reports avx512_fp16
+/// (plus F16C, which their scalar remainder rows use).
+bool native_half_available() {
+#if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
+  return numeric::cpu_has_avx512fp16() && numeric::cpu_has_f16c();
+#else
+  return false;
+#endif
+}
+
+/// The avx512 Half set with the given MAC kernels.
+KernelSet<numeric::Half> avx512_half_set(ConvFn<numeric::Half> conv,
+                                         FcFn<numeric::Half> fc) {
+  return {"avx512",
+          true,
+          16,
+          conv,
+          fc,
+          detail::avx512_relu_half,
+          detail::avx2_lrn_half,
+          detail::avx2_maxpool_half,
+          detail::avx2_avgpool_half,
+          detail::avx2_softmax_half};
+}
+
+/// The avx512 Half set with F16C float-compute MAC kernels, whatever the
+/// registered avx512 set resolved to; null where avx512 is unavailable.
+const KernelSet<numeric::Half>* avx512_f16c_set() {
+  if (!numeric::cpu_has_avx512_kernel_bundle() || !numeric::cpu_has_avx2() ||
+      !numeric::cpu_has_f16c())
+    return nullptr;
+  static const KernelSet<numeric::Half> s =
+      avx512_half_set(detail::avx512_conv_half, detail::avx512_fc_half);
+  return &s;
+}
+
+/// The AVX-512 set for T: 16-lane float, 8-lane double, 16-lane Half MAC
+/// kernels from the -mavx512f TUs, post-MAC kernels shared with the AVX2 TU
+/// (every AVX-512 CPU also runs AVX2). Gated on the full avx512 kernel
+/// bundle (F+BW+VL+DQ, see numeric/cpu.h) so Knights-Landing-class parts
+/// fall back rather than fault in the Half mask blends. Half conv/fc run
+/// native AVX512-FP16 arithmetic where available, F16C float-compute
+/// otherwise; both are bit-identical, so the set's name does not change.
 template <typename T>
 const KernelSet<T>* avx512_set() {
   if (!numeric::cpu_has_avx512_kernel_bundle() || !numeric::cpu_has_avx2())
@@ -184,13 +223,14 @@ const KernelSet<T>* avx512_set() {
         detail::avx2_avgpool_double, detail::avx2_softmax_double};
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Half>) {
-    if (!numeric::cpu_has_f16c()) return nullptr;
-    static const KernelSet<numeric::Half> s{
-        "avx512", true, 16, detail::avx512_conv_half, detail::avx512_fc_half,
-        detail::avx512_relu_half, detail::avx2_lrn_half,
-        detail::avx2_maxpool_half, detail::avx2_avgpool_half,
-        detail::avx2_softmax_half};
-    return &s;
+#if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
+    if (native_half_available()) {
+      static const KernelSet<numeric::Half> s = avx512_half_set(
+          detail::avx512fp16_conv_half, detail::avx512fp16_fc_half);
+      return &s;
+    }
+#endif
+    return avx512_f16c_set();
   } else {
     return nullptr;  // fixed-point stays scalar-only
   }
@@ -198,6 +238,8 @@ const KernelSet<T>* avx512_set() {
 
 #else  // !(DNNFI_ENABLE_AVX512_KERNELS && DNNFI_ENABLE_AVX2_KERNELS)
 
+bool native_half_available() { return false; }
+const KernelSet<numeric::Half>* avx512_f16c_set() { return nullptr; }
 template <typename T>
 const KernelSet<T>* avx512_set() {
   return nullptr;
@@ -274,12 +316,36 @@ KernelProfile kernel_profile() {
   p.cpu_avx2 = numeric::cpu_has_avx2();
   p.cpu_f16c = numeric::cpu_has_f16c();
   p.cpu_avx512 = numeric::cpu_has_avx512_kernel_bundle();
+  p.cpu_avx512fp16 = numeric::cpu_has_avx512fp16();
 #if defined(DNNFI_ENABLE_F16C)
   p.f16c_compiled = true;
 #endif
   p.active_float = active_kernels<float>().name;
-  p.active_float16 = active_kernels<numeric::Half>().name;
+  const KernelSet<numeric::Half>& half = active_kernels<numeric::Half>();
+  p.active_float16 = half.name;
+  if (std::string_view(half.name) == "avx512")
+    p.half_arith = native_half_available() ? "native" : "f16c";
   return p;
+}
+
+const KernelSet<numeric::Half>* avx512_f16c_half_kernels() noexcept {
+  return avx512_f16c_set();
+}
+
+bool native_half_add_mul(const numeric::Half* a, const numeric::Half* b,
+                         numeric::Half* sum, numeric::Half* prod,
+                         std::size_t n) noexcept {
+#if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
+  if (!native_half_available()) return false;
+  detail::avx512fp16_add_mul(reinterpret_cast<const std::uint16_t*>(a),
+                             reinterpret_cast<const std::uint16_t*>(b),
+                             reinterpret_cast<std::uint16_t*>(sum),
+                             reinterpret_cast<std::uint16_t*>(prod), n);
+  return true;
+#else
+  (void)a, (void)b, (void)sum, (void)prod, (void)n;
+  return false;
+#endif
 }
 
 template <typename T>

@@ -1,5 +1,9 @@
 #include "dnnfi/numeric/cpu.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 namespace dnnfi::numeric {
 
 namespace {
@@ -13,6 +17,7 @@ struct CpuFeatures {
   bool avx512bw = false;
   bool avx512vl = false;
   bool avx512dq = false;
+  bool avx512fp16 = false;
 
   CpuFeatures() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -25,6 +30,9 @@ struct CpuFeatures {
     avx512bw = __builtin_cpu_supports("avx512bw") != 0;
     avx512vl = __builtin_cpu_supports("avx512vl") != 0;
     avx512dq = __builtin_cpu_supports("avx512dq") != 0;
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0)
+      avx512fp16 = ((edx >> 23) & 1U) != 0;
 #endif
   }
 };
@@ -44,5 +52,8 @@ bool cpu_has_avx512f() noexcept { return features().avx512f; }
 bool cpu_has_avx512bw() noexcept { return features().avx512bw; }
 bool cpu_has_avx512vl() noexcept { return features().avx512vl; }
 bool cpu_has_avx512dq() noexcept { return features().avx512dq; }
+bool cpu_has_avx512fp16() noexcept {
+  return features().avx512fp16 && cpu_has_avx512_kernel_bundle();
+}
 
 }  // namespace dnnfi::numeric

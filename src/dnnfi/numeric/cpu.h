@@ -24,4 +24,9 @@ inline bool cpu_has_avx512_kernel_bundle() noexcept {
          cpu_has_avx512dq();
 }
 
+/// AVX512-FP16 (native binary16 arithmetic, CPUID leaf 7 EDX bit 23) on top
+/// of the avx512 kernel bundle, whose probes already confirm the OS saves
+/// the zmm and opmask state (XCR0). Sapphire Rapids and later.
+bool cpu_has_avx512fp16() noexcept;
+
 }  // namespace dnnfi::numeric

@@ -7,9 +7,12 @@
 // the opt-in relaxed sets. The post-MAC ops (lrn / maxpool / avgpool /
 // softmax) are bitwise-checked in every set, with restructure-lock tests
 // pinning the scalar reference to the formulas the layers used to inline.
-// Plus the packed-layout formula itself and executor-level integration
+// Plus the packed-layout formula itself, executor-level integration
 // checks that set_active_mode("scalar") and each SIMD mode produce
-// byte-identical network outputs.
+// byte-identical network outputs, the avx512 F16C FLOAT16 kernels called
+// directly (an AVX512-FP16 CPU registers the native ones), and a sampled
+// native-binary16-vs-reference arithmetic sweep (the full 2^32 one is
+// test_half_native_exhaustive).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +27,7 @@
 #include "dnnfi/dnn/zoo.h"
 #include "dnnfi/numeric/traits.h"
 #include "dnnfi/tensor/tensor.h"
+#include "half_native_sweep.h"
 
 namespace dnnfi::dnn::kernels {
 namespace {
@@ -141,14 +145,34 @@ void expect_close(const Tensor<T>& got, const Tensor<T>& want, double tol) {
 
 // Odd geometries on purpose: out_c = 13 leaves a 5-row tail at 8 lanes and
 // a 1-row tail at 4; out_c = 7 yields ZERO full 8-lane blocks (the packed
-// pointer must never be dereferenced); 16 and 32 are all-blocks.
+// pointer must never be dereferenced); 16 and 32 are all-blocks. The second
+// half drives the AVX-512 pixel-blocked loop (8 output pixels per register
+// block, a single-pixel tail, interior blocks addressed without the padding
+// table): planes that are not a multiple of 8, smaller than 8, or 1x1;
+// stride 2 with padding on both edges; in_c = 1; out_c with a remainder
+// past full 16- and 8-lane blocks; and a 17x17 kernel, too large for the
+// tap table, which takes the scalar rows.
 const ConvGeom kConvGeoms[] = {
     {3, 9, 7, 13, 5, 4, 3, 2, 1},   // strided, padded, tail rows
     {5, 6, 6, 7, 6, 6, 1, 1, 0},    // 1x1 kernel, zero full blocks at w=8
     {8, 8, 8, 16, 8, 8, 3, 1, 1},   // full blocks only (at 8 and 4 lanes)
     {4, 5, 5, 9, 2, 2, 3, 2, 0},    // stride 2, no padding
+    {3, 11, 13, 37, 6, 7, 3, 2, 1},  // 42-pixel plane, stride 2, both pads
+    {1, 9, 9, 33, 9, 9, 5, 1, 2},   // in_c = 1, 81 pixels, pad 2
+    {2, 10, 10, 16, 6, 6, 5, 1, 0},  // unpadded: interior blocks + tail
+    {6, 3, 3, 32, 1, 1, 3, 1, 0},   // 1x1 output plane
+    {4, 1, 1, 17, 1, 1, 3, 1, 1},   // 1x1 input, only the centre tap real
+    {5, 2, 3, 16, 2, 3, 3, 1, 1},   // 6-pixel plane: tail pixels only
+    {1, 17, 17, 16, 1, 1, 17, 1, 0},  // kernel too large for the tap table
 };
-const FcGeom kFcGeoms[] = {{37, 19}, {64, 32}, {10, 3}};
+/// A geometry with full 16-lane blocks, a remainder block and a pixel tail,
+/// so the 100-run reuse test also goes through the blocked loop.
+const ConvGeom kBlockedConvGeom = kConvGeoms[4];
+// FC: out % 16 != 0 past full blocks (100 = 6x16 + 4; 130 = 8x16 + 2) and
+// more lane-blocks than the AVX-512 loop keeps in flight (4), plus an exact
+// 5-block case whose last block runs alone.
+const FcGeom kFcGeoms[] = {{37, 19}, {64, 32}, {10, 3},
+                           {23, 100}, {300, 130}, {9, 80}};
 
 // Post-MAC geometries, odd on purpose. LRN: a window (size 5) wider than the
 // whole channel range; 1x1 spatial (the blocked AVX2 path needs >= 4
@@ -190,6 +214,34 @@ TYPED_TEST(KernelProperty, ScalarReferenceAlwaysRegistered) {
   EXPECT_EQ(kernel_set<T>("no-such-set"), nullptr);
 }
 
+/// Conv and FC of `ks` against the scalar reference, bitwise, on every
+/// geometry and non-finite season.
+template <typename T>
+void expect_mac_bit_identical(const KernelSet<T>& ks, const char* name) {
+  const KernelSet<T>& ref = scalar_kernels<T>();
+  for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf}) {
+    for (const ConvGeom& g : kConvGeoms) {
+      const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
+      const auto w = awkward<T>(g.out_c * g.steps(), 23, season);
+      const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
+      EXPECT_TRUE(tensor::bitwise_equal(run_conv(ks, g, in, w, bias),
+                                        run_conv(ref, g, in, w, bias)))
+          << name << " conv in_c=" << g.in_c << " out_c=" << g.out_c
+          << " out=" << g.out_h << "x" << g.out_w << " k=" << g.k
+          << " season=" << static_cast<int>(season);
+    }
+    for (const FcGeom& g : kFcGeoms) {
+      const auto in = awkward<T>(g.in, 31, season);
+      const auto w = awkward<T>(g.out * g.in, 41, season);
+      const auto bias = awkward<T>(g.out, 7, Season::kFinite);
+      EXPECT_TRUE(tensor::bitwise_equal(run_fc(ks, g, in, w, bias),
+                                        run_fc(ref, g, in, w, bias)))
+          << name << " fc in=" << g.in << " out=" << g.out
+          << " season=" << static_cast<int>(season);
+    }
+  }
+}
+
 TYPED_TEST(KernelProperty, SimdSetsBitIdenticalToScalarOnOddShapes) {
   using T = TypeParam;
   const KernelSet<T>& ref = scalar_kernels<T>();
@@ -197,26 +249,7 @@ TYPED_TEST(KernelProperty, SimdSetsBitIdenticalToScalarOnOddShapes) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
     if (!ks->bit_identical) continue;
-    for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf}) {
-      for (const ConvGeom& g : kConvGeoms) {
-        const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
-        const auto w = awkward<T>(g.out_c * g.steps(), 23, season);
-        const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
-        EXPECT_TRUE(tensor::bitwise_equal(run_conv(*ks, g, in, w, bias),
-                                          run_conv(ref, g, in, w, bias)))
-            << name << " conv out_c=" << g.out_c
-            << " season=" << static_cast<int>(season);
-      }
-      for (const FcGeom& g : kFcGeoms) {
-        const auto in = awkward<T>(g.in, 31, season);
-        const auto w = awkward<T>(g.out * g.in, 41, season);
-        const auto bias = awkward<T>(g.out, 7, Season::kFinite);
-        EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, g, in, w, bias),
-                                          run_fc(ref, g, in, w, bias)))
-            << name << " fc out=" << g.out
-            << " season=" << static_cast<int>(season);
-      }
-    }
+    expect_mac_bit_identical(*ks, name);
     {
       // relu never adds, so NaN (of any sign), ±Inf, and -0 can mix freely:
       // propagation is per-element and must match bit for bit.
@@ -233,6 +266,59 @@ TYPED_TEST(KernelProperty, SimdSetsBitIdenticalToScalarOnOddShapes) {
       ref.relu(in.data(), b.data().data(), n);
       EXPECT_TRUE(tensor::bitwise_equal(a, b)) << name << " relu";
     }
+  }
+}
+
+// The avx512 set runs native AVX512-FP16 FLOAT16 arithmetic where the CPU
+// has it, so the registered set alone would leave the F16C kernels (what
+// every other AVX-512 CPU runs) untested on such a host.
+TEST(KernelAvx512Half, F16cKernelsBitIdenticalToScalar) {
+  const KernelSet<numeric::Half>* ks = avx512_f16c_half_kernels();
+  if (ks == nullptr)
+    GTEST_SKIP() << "avx512 kernels not available on this build/CPU";
+  EXPECT_STREQ(ks->name, "avx512");
+  EXPECT_EQ(ks->pack_lanes, 16u);
+  expect_mac_bit_identical(*ks, "avx512(f16c)");
+}
+
+TEST(KernelAvx512Half, ProfileNamesTheHalfArithmetic) {
+  const KernelProfile p = kernel_profile();
+  if (p.active_float16 != "avx512") {
+    EXPECT_EQ(p.half_arith, "n/a");
+  } else {
+    EXPECT_EQ(p.half_arith,
+              test_support::native_half_unavailable().empty() ? "native"
+                                                              : "f16c");
+  }
+  if (p.cpu_avx512fp16) {
+    EXPECT_TRUE(p.cpu_avx512);
+  }
+}
+
+// Native binary16 add/mul (plus the final-store NaN canonicalization)
+// equals binary32 compute rounded to half for every a against a 4096-value
+// b sample holding every special: the sampled tier-1 form of
+// test_half_native_exhaustive. When both operands are NaN the result must
+// be the canonical NaN with one operand's sign (the documented hole).
+TEST(KernelAvx512Half, NativeArithmeticMatchesReferenceOnSampledPairs) {
+  const std::string why = test_support::native_half_unavailable();
+  if (!why.empty()) GTEST_SKIP() << why;
+  std::vector<std::uint16_t> bs = {
+      0x0000, 0x8000, 0x7C00, 0xFC00,                  // +-0, +-Inf
+      0x0001, 0x0002, 0x01FF, 0x0200, 0x03FF,          // subnormals
+      0x8001, 0x81FF, 0x83FF, 0x0400, 0x8400,         // ... and min normals
+      0x7BFF, 0xFBFF, 0x3C00, 0xBC00, 0x3BFF, 0x3C01,  // max, +-1, 1 -+ ulp
+      0x7C01, 0x7D55, 0x7DFF, 0xFC01, 0xFDFF,          // sNaN, both signs
+      0x7E00, 0x7E01, 0x7FFF, 0xFE00, 0xFFFF};         // qNaN, both signs
+  for (std::uint32_t j = 0; bs.size() < 4096; ++j)
+    bs.push_back(static_cast<std::uint16_t>(j * 16U + (j * 2654435761U >> 28)));
+  test_support::HalfSweep add, mul;
+  test_support::sweep_native_half(bs, add, mul);
+  for (const auto* s : {&add, &mul}) {
+    EXPECT_EQ(s->pairs, 65536u * 4096u);
+    EXPECT_EQ(s->mismatches, 0u) << s->first_failure;
+    EXPECT_EQ(s->both_nan_bad, 0u) << s->first_failure;
+    EXPECT_GT(s->both_nan, 0u);
   }
 }
 
@@ -308,33 +394,36 @@ TYPED_TEST(KernelProperty, RelaxedSetsWithinToleranceOfScalar) {
 
 TYPED_TEST(KernelProperty, HundredRunReuseIsStable) {
   using T = TypeParam;
-  const ConvGeom g = kConvGeoms[0];
-  const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 13, Season::kNaN);
-  const auto w = awkward<T>(g.out_c * g.steps(), 17, Season::kNaN);
-  const auto bias = awkward<T>(g.out_c, 19, Season::kFinite);
-  for (const char* name : registered_names<T>()) {
-    const KernelSet<T>* ks = kernel_set<T>(name);
-    ASSERT_NE(ks, nullptr) << name;
-    // Pack once, then reuse the packed copy and the output buffer for 100
-    // runs without clearing either — the Workspace lifecycle.
-    std::vector<T> packed(packed_elems(g.out_c, g.steps(), ks->pack_lanes));
-    if (!packed.empty())
-      pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes, packed.data());
-    Tensor<T> out(Shape{1, g.out_c, g.out_h, g.out_w});
-    Tensor<T> first;
-    for (int run = 0; run < 100; ++run) {
-      ks->conv(g, in.data(), w.data(),
-               packed.empty() ? nullptr : packed.data(), bias.data(),
-               out.data().data());
-      if (run == 0)
-        first = out;
-      else
-        ASSERT_TRUE(tensor::bitwise_equal(out, first))
-            << name << " run " << run;
-    }
-    if (ks->bit_identical) {
-      const Tensor<T> want = run_conv(scalar_kernels<T>(), g, in, w, bias);
-      EXPECT_TRUE(tensor::bitwise_equal(first, want)) << name;
+  for (const ConvGeom& g : {kConvGeoms[0], kBlockedConvGeom}) {
+    const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 13, Season::kNaN);
+    const auto w = awkward<T>(g.out_c * g.steps(), 17, Season::kNaN);
+    const auto bias = awkward<T>(g.out_c, 19, Season::kFinite);
+    for (const char* name : registered_names<T>()) {
+      const KernelSet<T>* ks = kernel_set<T>(name);
+      ASSERT_NE(ks, nullptr) << name;
+      // Pack once, then reuse the packed copy and the output buffer for 100
+      // runs without clearing either — the Workspace lifecycle.
+      std::vector<T> packed(packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+      if (!packed.empty())
+        pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes,
+                  packed.data());
+      Tensor<T> out(Shape{1, g.out_c, g.out_h, g.out_w});
+      Tensor<T> first;
+      for (int run = 0; run < 100; ++run) {
+        ks->conv(g, in.data(), w.data(),
+                 packed.empty() ? nullptr : packed.data(), bias.data(),
+                 out.data().data());
+        if (run == 0)
+          first = out;
+        else
+          ASSERT_TRUE(tensor::bitwise_equal(out, first))
+              << name << " out_c=" << g.out_c << " run " << run;
+      }
+      if (ks->bit_identical) {
+        const Tensor<T> want = run_conv(scalar_kernels<T>(), g, in, w, bias);
+        EXPECT_TRUE(tensor::bitwise_equal(first, want))
+            << name << " out_c=" << g.out_c;
+      }
     }
   }
 }
