@@ -38,8 +38,14 @@ int main() {
     const auto est = r.rate_if(in_bucket, [](const fault::TrialRecord& tr) {
       return tr.outcome.sdc1;
     });
-    std::string label = (b == 4) ? ">=1000" : ("[" + Table::num(lo, 0) + ", " +
-                                               Table::num(hi, 0) + ")");
+    // Appended piecewise: GCC 12 misreads `"[" + std::string` as an
+    // overlapping memcpy under -Wrestrict.
+    std::string label = ">=1000";
+    if (b != 4) {
+      label = "[";
+      label.append(Table::num(lo, 0)).append(", ");
+      label.append(Table::num(hi, 0)).append(")");
+    }
     t.row({label, std::to_string(est.n), Table::pct(est.p),
            Table::pct(1.0 - est.p)});
   }

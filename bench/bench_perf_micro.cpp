@@ -5,8 +5,9 @@
 //
 // Beyond the google-benchmark tables, the binary runs a dedicated
 // counting-allocator measurement of the compiled-plan engine and writes
-// BENCH_perf_micro.json (ns/inference, ns/trial, allocations/trial, peak
-// live-heap growth of the streaming campaign path) into the results
+// BENCH_perf_micro.json (ns/inference, ns/trial, allocations/trial, output
+// elements computed per trial, peak live-heap growth of the streaming
+// campaign path, host) into the results
 // directory. It exits nonzero if the faulty hot path performs any heap
 // allocation per trial after warm-up, or if the streaming run_shard path's
 // peak live heap grows with trial count — the engine's zero-alloc and the
@@ -25,6 +26,7 @@
 #include <new>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -225,6 +227,10 @@ struct AllocatorReport {
   double allocations_per_trial = 0;
   double ns_per_trial_incremental = 0;
   double allocations_per_trial_incremental = 0;
+  /// Mean ReplayInfo::elems_run per trial: the output elements cone-limited
+  /// replay computed (full replay / with early exit).
+  double elems_per_trial = 0;
+  double elems_per_trial_incremental = 0;
   std::size_t trials = 0;
 };
 
@@ -281,13 +287,17 @@ AllocatorReport measure_hot_path() {
                                            faults[i % faults.size()],
                                            /*early_exit=*/false));
 
+  dnn::ReplayInfo info;
+  std::size_t elems = 0;
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto t1 = Clock::now();
-  for (std::size_t i = 0; i < kTrials; ++i)
+  for (std::size_t i = 0; i < kTrials; ++i) {
     benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), cache,
                                            faults[i % faults.size()],
-                                           /*early_exit=*/false));
+                                           /*early_exit=*/false, &info));
+    elems += info.elems_run;
+  }
   const auto t2 = Clock::now();
   const std::uint64_t allocs_after =
       g_alloc_count.load(std::memory_order_relaxed);
@@ -300,6 +310,8 @@ AllocatorReport measure_hot_path() {
   r.allocations_per_trial =
       static_cast<double>(allocs_after - allocs_before) /
       static_cast<double>(kTrials);
+  r.elems_per_trial =
+      static_cast<double>(elems) / static_cast<double>(kTrials);
 
   // Incremental-replay hot path: the same trials with masked-fault early
   // exit. Same zero-allocation contract as full replay — the
@@ -307,12 +319,16 @@ AllocatorReport measure_hot_path() {
   for (std::size_t i = 0; i < kWarmup; ++i)
     benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), cache,
                                            faults[i % faults.size()]));
+  elems = 0;
   const std::uint64_t inc_allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto t3 = Clock::now();
-  for (std::size_t i = 0; i < kTrials; ++i)
+  for (std::size_t i = 0; i < kTrials; ++i) {
     benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), cache,
-                                           faults[i % faults.size()]));
+                                           faults[i % faults.size()],
+                                           /*early_exit=*/true, &info));
+    elems += info.elems_run;
+  }
   const auto t4 = Clock::now();
   const std::uint64_t inc_allocs_after =
       g_alloc_count.load(std::memory_order_relaxed);
@@ -324,6 +340,8 @@ AllocatorReport measure_hot_path() {
   r.allocations_per_trial_incremental =
       static_cast<double>(inc_allocs_after - inc_allocs_before) /
       static_cast<double>(kTrials);
+  r.elems_per_trial_incremental =
+      static_cast<double>(elems) / static_cast<double>(kTrials);
   return r;
 }
 
@@ -373,7 +391,7 @@ StreamingReport measure_streaming_memory() {
 
 // ---------------------------------------------------------------------------
 // Per-kernel GFLOP/s: every registered kernel set (scalar reference, avx2,
-// avx2-relaxed where the CPU has them) on fixed conv / fully-connected
+// avx512 where the CPU has them) on fixed conv / fully-connected
 // shapes, driven through the kernels API directly — the packed layout is
 // interleaved once outside the timed loop, as Workspace::bind does.
 // ---------------------------------------------------------------------------
@@ -383,7 +401,6 @@ struct KernelCell {
   std::string set;
   std::string op;  ///< "conv" or "fc"
   double gflops = 0;
-  bool bit_identical = true;
 };
 
 template <typename Fn>
@@ -446,13 +463,13 @@ void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
     }
     const T* cp = cpacked.empty() ? nullptr : cpacked.data();
     const T* fp = fpacked.empty() ? nullptr : fpacked.data();
-    KernelCell conv{dtype, name, "conv", 0, ks->bit_identical};
+    KernelCell conv{dtype, name, "conv", 0};
     conv.gflops = time_gflops(conv_flops, [&] {
       ks->conv(g, cin.data(), cw.data(), cp, cbias.data(), cout.data());
       benchmark::DoNotOptimize(cout.data());
     });
     cells.push_back(conv);
-    KernelCell fc{dtype, name, "fc", 0, ks->bit_identical};
+    KernelCell fc{dtype, name, "fc", 0};
     fc.gflops = time_gflops(fc_flops, [&] {
       ks->fc(fg, fin.data(), fw.data(), fp, fbias.data(), fout.data());
       benchmark::DoNotOptimize(fout.data());
@@ -536,6 +553,19 @@ std::vector<LayerKindCost> measure_layer_profile() {
   return cells;
 }
 
+/// The CPU model string ("unknown" where /proc/cpuinfo is unreadable).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "unknown";
+}
+
 void write_json(const AllocatorReport& r, const StreamingReport& s,
                 const std::vector<KernelCell>& kc,
                 const std::vector<LayerKindCost>& lp, const std::string& path) {
@@ -547,12 +577,18 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
       << "  \"ns_per_inference\": " << r.ns_per_inference << ",\n"
       << "  \"ns_per_trial\": " << r.ns_per_trial << ",\n"
       << "  \"allocations_per_trial\": " << r.allocations_per_trial << ",\n"
+      << "  \"elems_per_trial\": " << r.elems_per_trial << ",\n"
       << "  \"ns_per_trial_incremental\": " << r.ns_per_trial_incremental
       << ",\n"
       << "  \"allocations_per_trial_incremental\": "
       << r.allocations_per_trial_incremental << ",\n"
+      << "  \"elems_per_trial_incremental\": "
+      << r.elems_per_trial_incremental << ",\n"
       << "  \"streaming_peak_bytes_256\": " << s.peak_growth_small << ",\n"
       << "  \"streaming_peak_bytes_2048\": " << s.peak_growth_large << ",\n";
+  out << "  \"host\": {\"cpu_model\": \"" << cpu_model()
+      << "\", \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ", \"compiler\": \"" << __VERSION__ << "\"},\n";
   const auto prof = dnn::kernels::kernel_profile();
   out << "  \"kernels\": {\"mode\": \"" << prof.mode
       << "\", \"cpu_avx2\": " << (prof.cpu_avx2 ? "true" : "false")
@@ -569,7 +605,6 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
     const KernelCell& c = kc[i];
     out << "    {\"dtype\": \"" << c.dtype << "\", \"set\": \"" << c.set
         << "\", \"op\": \"" << c.op << "\", \"gflops\": " << c.gflops
-        << ", \"bit_identical\": " << (c.bit_identical ? "true" : "false")
         << "}" << (i + 1 < kc.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
@@ -626,9 +661,8 @@ int main(int argc, char** argv) {
   std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / fc "
               "1024x1024):\n");
   for (const KernelCell& c : kc)
-    std::printf("  %-8s %-13s %-4s %8.2f%s\n", c.dtype.c_str(), c.set.c_str(),
-                c.op.c_str(), c.gflops,
-                c.bit_identical ? "" : "  (tolerance mode)");
+    std::printf("  %-8s %-13s %-4s %8.2f\n", c.dtype.c_str(), c.set.c_str(),
+                c.op.c_str(), c.gflops);
   std::printf("\nper-layer-kind wall time of a fault-free forward:\n");
   for (const LayerKindCost& c : lp)
     std::printf("  %-10s %-8s %-14s %10.0f ns  %5.1f%%\n", c.network.c_str(),
@@ -637,16 +671,19 @@ int main(int argc, char** argv) {
   std::printf(
       "\ncompiled-engine hot path (ConvNet, float16, counting allocator):\n"
       "  ns/inference:                    %.0f\n"
-      "  ns/trial (full replay):          %.0f\n"
+      "  ns/trial (full replay):          %.0f  (%.0f output elements "
+      "computed per trial)\n"
       "  allocations/trial:               %g\n"
-      "  ns/trial (incremental replay):   %.0f\n"
+      "  ns/trial (incremental replay):   %.0f  (%.0f output elements "
+      "computed per trial)\n"
       "  allocations/trial (incremental): %g\n"
       "streaming run_shard peak live-heap growth:\n"
       "  %zu trials:  %llu bytes\n"
       "  %zu trials: %llu bytes\n"
       "[json] %s\n",
-      r.ns_per_inference, r.ns_per_trial, r.allocations_per_trial,
-      r.ns_per_trial_incremental, r.allocations_per_trial_incremental,
+      r.ns_per_inference, r.ns_per_trial, r.elems_per_trial,
+      r.allocations_per_trial, r.ns_per_trial_incremental,
+      r.elems_per_trial_incremental, r.allocations_per_trial_incremental,
       s.small_trials,
       static_cast<unsigned long long>(s.peak_growth_small), s.large_trials,
       static_cast<unsigned long long>(s.peak_growth_large), json.c_str());

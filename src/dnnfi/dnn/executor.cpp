@@ -1,10 +1,107 @@
 #include "dnnfi/dnn/executor.h"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "dnnfi/dnn/layers.h"
 
 namespace dnnfi::dnn {
+
+namespace {
+
+/// Calls `f(offset, length)` for each maximal contiguous run of box `b` in
+/// a CHW tensor of shape `s`, in CHW order; stops (returning false) as soon
+/// as `f` returns false.
+template <typename F>
+bool all_runs(const Shape& s, const Box& b, F&& f) {
+  const std::size_t plane = s.h * s.w;
+  if (b.x0 == 0 && b.x1 == s.w) {
+    if (b.y0 == 0 && b.y1 == s.h) return f(b.c0 * plane, (b.c1 - b.c0) * plane);
+    for (std::size_t c = b.c0; c < b.c1; ++c)
+      if (!f(c * plane + b.y0 * s.w, (b.y1 - b.y0) * s.w)) return false;
+    return true;
+  }
+  for (std::size_t c = b.c0; c < b.c1; ++c)
+    for (std::size_t y = b.y0; y < b.y1; ++y)
+      if (!f(c * plane + y * s.w + b.x0, b.x1 - b.x0)) return false;
+  return true;
+}
+
+/// True when `a` and `b` hold byte-identical elements inside box `bx`.
+template <typename T>
+bool box_equal(ConstTensorView<T> a, ConstTensorView<T> b, const Box& bx) {
+  const T* pa = a.data().data();
+  const T* pb = b.data().data();
+  return all_runs(a.shape(), bx, [&](std::size_t off, std::size_t n) {
+    return std::memcmp(pa + off, pb + off, n * sizeof(T)) == 0;
+  });
+}
+
+/// Copies the dense CHW tile `src` (box-shaped) into box `bx` of `out`.
+template <typename T>
+void scatter(const T* src, TensorView<T> out, const Box& bx) {
+  T* dst = out.data().data();
+  all_runs(out.shape(), bx, [&](std::size_t off, std::size_t n) {
+    std::copy_n(src, n, dst + off);
+    src += n;
+    return true;
+  });
+}
+
+/// Gathers channels [c0, c1) x rows [y0, y0 + th) x columns [x0, x0 + tw)
+/// of `in` into the dense tile `dst`, writing an explicit zero wherever the
+/// window leaves the input: a padded tap reads the same T{} the reference
+/// kernels multiply.
+template <typename T>
+void gather(ConstTensorView<T> in, std::size_t c0, std::size_t c1,
+            std::ptrdiff_t y0, std::size_t th, std::ptrdiff_t x0,
+            std::size_t tw, T* dst) {
+  const Shape& s = in.shape();
+  const auto h = static_cast<std::ptrdiff_t>(s.h);
+  const auto w = static_cast<std::ptrdiff_t>(s.w);
+  const auto t = static_cast<std::ptrdiff_t>(tw);
+  // Columns [lo, hi) of every tile row lie inside the input.
+  const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-x0, 0, t);
+  const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(w - x0, lo, t);
+  const auto ulo = static_cast<std::size_t>(lo);
+  const auto uhi = static_cast<std::size_t>(hi);
+  for (std::size_t c = c0; c < c1; ++c) {
+    for (std::size_t ty = 0; ty < th; ++ty, dst += tw) {
+      const std::ptrdiff_t iy = y0 + static_cast<std::ptrdiff_t>(ty);
+      if (iy < 0 || iy >= h) {
+        std::fill_n(dst, tw, T{});
+        continue;
+      }
+      const T* row = in.data().data() +
+                     (c * s.h + static_cast<std::size_t>(iy)) * s.w;
+      std::fill_n(dst, ulo, T{});
+      if (uhi > ulo) std::copy_n(row + (x0 + lo), uhi - ulo, dst + ulo);
+      std::fill_n(dst + uhi, tw - uhi, T{});
+    }
+  }
+}
+
+/// Input rows (or columns) that `n` consecutive outputs of a k-wide,
+/// s-strided window read.
+constexpr std::size_t tile_side(std::size_t n, std::size_t k, std::size_t s) {
+  return (n - 1) * s + k;
+}
+
+/// Outputs o in [0, n) whose window [o*s - pad, o*s - pad + k) meets the
+/// input range [lo, hi) (non-empty); returns an empty range when none do.
+std::pair<std::size_t, std::size_t> window_range(std::size_t lo,
+                                                 std::size_t hi, std::size_t k,
+                                                 std::size_t s,
+                                                 std::size_t pad,
+                                                 std::size_t n) {
+  const std::size_t first =
+      lo + pad + 1 <= k ? 0 : (lo + pad + 1 - k + s - 1) / s;
+  const std::size_t last = std::min(n, (hi - 1 + pad) / s + 1);
+  return {first, std::max(first, last)};
+}
+
+}  // namespace
 
 template <typename T>
 ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
@@ -84,6 +181,21 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
         break;
     }
   }
+  // Cone-replay scratch: the largest gathered input tile plus dense output
+  // tile any step needs (the whole output's, an upper bound for every box).
+  for (const auto& st : steps_) {
+    const Shape& os = st.out_shape;
+    std::size_t in_tile = 0;
+    if (st.kernel == StepKernel::kConv)
+      in_tile = st.conv.in_c * tile_side(os.h, st.conv.k, st.conv.stride) *
+                tile_side(os.w, st.conv.k, st.conv.stride);
+    else if (st.kernel == StepKernel::kMaxPool)
+      in_tile = os.c * tile_side(os.h, st.pool.k, st.pool.stride) *
+                tile_side(os.w, st.pool.k, st.pool.stride);
+    else if (st.kernel == StepKernel::kLrn)
+      in_tile = os.size();
+    if (in_tile > 0) tile_elems_ = std::max(tile_elems_, in_tile + os.size());
+  }
 }
 
 template <typename T>
@@ -106,7 +218,7 @@ void ExecutionPlan<T>::exec_step(std::size_t i, ConstTensorView<T> in,
   const PlanStep<T>& st = steps_[i];
   // Kernels that consume packed weights need the workspace copy; without it
   // (packed == null) MAC steps take the scalar reference path, which is
-  // bit-identical under every exact set.
+  // bit-identical under every set.
   const bool have_layout = packed != nullptr || kset_->pack_lanes == 0;
   switch (st.kernel) {
     case StepKernel::kConv:
@@ -148,6 +260,118 @@ void ExecutionPlan<T>::exec_step(std::size_t i, ConstTensorView<T> in,
 }
 
 template <typename T>
+Box ExecutionPlan<T>::out_box(std::size_t i, const Box& b) const {
+  const PlanStep<T>& st = steps_[i];
+  // Equal inputs give equal outputs, whatever the step.
+  if (b.empty()) return {};
+  Box o;
+  switch (st.kernel) {
+    case StepKernel::kRelu:
+      return b;
+    case StepKernel::kLrn:
+      // Each output reads its own (row, column) across a channel window.
+      return {0, st.out_shape.c, b.y0, b.y1, b.x0, b.x1};
+    case StepKernel::kConv: {
+      const kernels::ConvGeom& g = st.conv;
+      const auto ys = window_range(b.y0, b.y1, g.k, g.stride, g.pad, g.out_h);
+      const auto xs = window_range(b.x0, b.x1, g.k, g.stride, g.pad, g.out_w);
+      o = {0, g.out_c, ys.first, ys.second, xs.first, xs.second};
+      break;
+    }
+    case StepKernel::kMaxPool: {
+      const kernels::PoolGeom& g = st.pool;
+      const auto ys = window_range(b.y0, b.y1, g.k, g.stride, 0, g.out_h);
+      const auto xs = window_range(b.x0, b.x1, g.k, g.stride, 0, g.out_w);
+      o = {b.c0, b.c1, ys.first, ys.second, xs.first, xs.second};
+      break;
+    }
+    default:
+      return Box::whole(st.out_shape);
+  }
+  return o.empty() ? Box{} : o;
+}
+
+template <typename T>
+Box ExecutionPlan<T>::exec_step_box(std::size_t i, ConstTensorView<T> in,
+                                    const Box& in_box, TensorView<T> out,
+                                    ConstTensorView<T> golden_out,
+                                    const T* packed, T* tile) const {
+  const PlanStep<T>& st = steps_[i];
+  const Box ob = out_box(i, in_box);
+  if (ob.covers(st.out_shape)) {
+    exec_step(i, in, out, packed);
+    return ob;
+  }
+  out.copy_from(golden_out);
+  if (ob.empty()) return ob;
+  // The box's outputs are computed as a dense (channels x bh x bw) output
+  // tile from a gathered input tile, by the same kernels on a tile
+  // geometry, then scattered over the fault-free copy.
+  const std::size_t bh = ob.y1 - ob.y0, bw = ob.x1 - ob.x0;
+  switch (st.kernel) {
+    case StepKernel::kRelu: {
+      const T* src = in.data().data();
+      T* dst = out.data().data();
+      all_runs(st.out_shape, ob, [&](std::size_t off, std::size_t n) {
+        kset_->relu(src + off, dst + off, n);
+        return true;
+      });
+      break;
+    }
+    case StepKernel::kLrn: {
+      kernels::LrnGeom g = st.lrn;
+      g.h = bh;
+      g.w = bw;
+      const std::size_t n = ob.size();
+      gather(in, 0, g.c, static_cast<std::ptrdiff_t>(ob.y0), bh,
+             static_cast<std::ptrdiff_t>(ob.x0), bw, tile);
+      kset_->lrn(g, tile, tile + n);
+      scatter<T>(tile + n, out, ob);
+      break;
+    }
+    case StepKernel::kMaxPool: {
+      const kernels::PoolGeom& p = st.pool;
+      const kernels::PoolGeom g{ob.c1 - ob.c0, tile_side(bh, p.k, p.stride),
+                                tile_side(bw, p.k, p.stride), bh, bw, p.k,
+                                p.stride};
+      gather(in, ob.c0, ob.c1, static_cast<std::ptrdiff_t>(ob.y0 * p.stride),
+             g.in_h, static_cast<std::ptrdiff_t>(ob.x0 * p.stride), g.in_w,
+             tile);
+      T* const otile = tile + g.c * g.in_h * g.in_w;
+      kset_->maxpool(g, tile, otile);
+      scatter<T>(otile, out, ob);
+      break;
+    }
+    case StepKernel::kConv: {
+      const kernels::ConvGeom& c = st.conv;
+      // Padding becomes explicit zeros in the tile, so the tile geometry
+      // has none: every tap multiplies the same value the reference does.
+      const kernels::ConvGeom g{c.in_c, tile_side(bh, c.k, c.stride),
+                                tile_side(bw, c.k, c.stride),
+                                c.out_c, bh, bw, c.k, c.stride, 0};
+      const auto pad = static_cast<std::ptrdiff_t>(c.pad);
+      gather(in, 0, c.in_c,
+             static_cast<std::ptrdiff_t>(ob.y0 * c.stride) - pad, g.in_h,
+             static_cast<std::ptrdiff_t>(ob.x0 * c.stride) - pad, g.in_w,
+             tile);
+      T* const otile = tile + g.in_c * g.in_h * g.in_w;
+      if (packed != nullptr || kset_->pack_lanes == 0)
+        kset_->conv(g, tile, st.w,
+                    packed == nullptr ? nullptr : packed + st.packed_off,
+                    st.bias, otile);
+      else  // exec_step's fallback when the packed copy is absent
+        kernels::scalar_kernels<T>().conv(g, tile, st.w, nullptr, st.bias,
+                                          otile);
+      scatter<T>(otile, out, ob);
+      break;
+    }
+    default:
+      DNNFI_EXPECTS(false);  // out_box is whole for every other step
+  }
+  return ob;
+}
+
+template <typename T>
 void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
                                ConstTensorView<T> input) {
   DNNFI_EXPECTS(input.shape() == plan.input_shape());
@@ -164,9 +388,9 @@ void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
   }
   // Layers write straight into their cache segment: no ping-pong, no
   // copies, and kernel calls identical to a plain Executor run (a local
-  // packed copy is interleaved here so the cache matches the plan's kernel
-  // set bit-for-bit even in the relaxed tolerance mode; cache builds are
-  // per-input setup work, not the faulty hot path).
+  // packed copy is interleaved here so the SIMD MAC kernels run instead of
+  // the scalar fallback; cache builds are per-input setup work, not the
+  // faulty hot path).
   std::vector<T> packed;
   const T* pk = nullptr;
   if (plan.packed_elems() > 0) {
@@ -225,11 +449,18 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
   DNNFI_EXPECTS(f.layer < steps.size());
   ReplayInfo info;
   info.fault_layer = f.layer;
+  const T* packed = ws.packed_data();
+  T* tile = ws.tile_data();
 
+  // Cone-limited replay: `box` bounds the outputs of layer i that can
+  // differ from the cache. Everything outside it equals the cache by
+  // construction (each output is a deterministic function of its receptive
+  // field), so only the box is computed and compared.
   TensorView<T> a = ws.out_buffer(0, steps[f.layer].out_shape);
+  Box box;
   if (f.flip_layer_input) {
     // Global-buffer model: the corrupted ifmap word is read by every
-    // consumer, so the whole target layer re-executes on flipped input.
+    // consumer, so every output whose window covers it re-executes.
     TensorView<T> in = ws.patch_buffer(steps[f.layer].in_shape);
     in.copy_from(g.layer_input(f.layer));
     DNNFI_EXPECTS(f.input_index < in.size());
@@ -243,15 +474,18 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
           detail::storage_apply_dir(before, f.input_op, f.input_storage);
       req.record->applied = true;
     }
-    plan_->exec_step(f.layer, ConstTensorView<T>(in), a, ws.packed_data());
+    box = plan_->exec_step_box(f.layer, ConstTensorView<T>(in),
+                               Box::element(in.shape(), f.input_index), a,
+                               g.act(f.layer), packed, tile);
   } else {
     // Patch the golden output of the target layer with the fault's effect.
     a.copy_from(g.act(f.layer));
-    steps[f.layer].layer->apply_faults(g.layer_input(f.layer), a, f.faults,
-                                       req.record);
+    box = steps[f.layer].layer->apply_faults(g.layer_input(f.layer), a,
+                                             f.faults, req.record);
   }
   if (req.observer != nullptr) (*req.observer)(f.layer, a);
   info.layers_run = 1;
+  info.elems_run = box.size();
 
   ConstTensorView<T> cur = a;
   std::size_t i = f.layer;
@@ -259,22 +493,17 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
   // bit-for-bit has erased the fault: every remaining layer is a
   // deterministic function of identical state, so the cached final output
   // IS the run's output and the suffix can be skipped entirely.
-  if (req.early_exit && tensor::bitwise_equal<T>(cur, g.act(i))) {
-    info.masked = true;
-  } else {
-    unsigned parity = 1;
-    for (i = f.layer + 1; i < steps.size(); ++i) {
-      TensorView<T> out = ws.out_buffer(parity, steps[i].out_shape);
-      plan_->exec_step(i, cur, out, ws.packed_data());
-      if (req.observer != nullptr) (*req.observer)(i, out);
-      cur = out;
-      parity ^= 1U;
-      ++info.layers_run;
-      if (req.early_exit && tensor::bitwise_equal<T>(cur, g.act(i))) {
-        info.masked = true;
-        break;
-      }
-    }
+  info.masked = req.early_exit && box_equal<T>(cur, g.act(i), box);
+  unsigned parity = 1;
+  while (!info.masked && ++i < steps.size()) {
+    TensorView<T> out = ws.out_buffer(parity, steps[i].out_shape);
+    box = plan_->exec_step_box(i, cur, box, out, g.act(i), packed, tile);
+    if (req.observer != nullptr) (*req.observer)(i, out);
+    cur = out;
+    parity ^= 1U;
+    ++info.layers_run;
+    info.elems_run += box.size();
+    info.masked = req.early_exit && box_equal<T>(cur, g.act(i), box);
   }
   if (info.masked) {
     info.masked_at = i;

@@ -8,8 +8,9 @@
 // RunRequest. Arbitrary layer ranges run through run_range.
 // ActivationCache<T> is the one golden snapshot: the fault-free output of
 // every layer boundary for one input in one contiguous block, so faulty
-// replays seed from any layer and can stop as soon as the fault's effect is
-// erased (see DESIGN.md §8).
+// replays seed from any layer, recompute only the outputs the fault can
+// reach, and stop as soon as the fault's effect is erased (cone-limited
+// replay, see DESIGN.md §8).
 //
 // Thread-safety contract: a plan is immutable after construction and may be
 // shared by any number of threads; an Executor is a stateless handle over a
@@ -18,14 +19,21 @@
 // per thread (the campaign engine keeps one per worker for the whole
 // campaign). After warm-up, a faulty run performs zero heap allocations.
 //
-// Buffer lifetime: the arena is laid out as [ping | pong | patch | packed].
-// Layer i reads buffer (i % 2) and writes buffer (1 - i % 2); the patch slot
-// holds the flipped copy of a layer input for the global-buffer fault model;
-// the packed slot holds the lane-interleaved weight copies of the plan's MAC
-// layers when the plan's kernel set wants them (kernels.h — the plan-time
-// layout transform). The view returned by run() aliases the arena and is
-// valid only until the workspace is reused — except after a masked early
-// exit, where it aliases the (stable) ActivationCache instead.
+// Buffer lifetime: the arena is laid out as
+// [ping | pong | patch | tile | packed]. Layer i reads buffer (i % 2) and
+// writes buffer (1 - i % 2); the patch slot holds the flipped copy of a
+// layer input for the global-buffer fault model; the tile slot is scratch
+// for one cone-replay step (the gathered input tile followed by the dense
+// output tile, both sized at plan build for the largest step, and dead once
+// the step has scattered its outputs); the packed slot holds the
+// lane-interleaved weight copies of the plan's MAC layers when the plan's
+// kernel set wants them (kernels.h — the plan-time layout transform). A
+// faulty replay writes every layer's whole output into ping/pong (the
+// fault-free activation with the recomputed box on top), so observers and
+// the next layer always see full tensors. The view returned by run()
+// aliases the arena and is valid only until the workspace is reused —
+// except after a masked early exit, where it aliases the (stable)
+// ActivationCache instead.
 //
 // Kernel dispatch: a plan captures kernels::active_kernels<T>() at
 // construction and routes every conv / fully-connected / relu / lrn /
@@ -95,11 +103,14 @@ class ExecutionPlan {
   std::size_t buffer_elems() const noexcept { return buffer_elems_; }
   /// Largest layer-input element count (sizes the patch buffer).
   std::size_t input_elems() const noexcept { return input_elems_; }
+  /// Largest cone-replay scratch of one step: gathered input tile plus
+  /// dense output tile for that step's whole output (sizes the tile slot).
+  std::size_t tile_elems() const noexcept { return tile_elems_; }
   /// Packed-weight element count (0 when the kernel set reads row-major).
   std::size_t packed_elems() const noexcept { return packed_elems_; }
-  /// Arena high-water mark: ping + pong + patch + packed.
+  /// Arena high-water mark: ping + pong + patch + tile + packed.
   std::size_t arena_elems() const noexcept {
-    return 2 * buffer_elems_ + input_elems_ + packed_elems_;
+    return 2 * buffer_elems_ + input_elems_ + tile_elems_ + packed_elems_;
   }
 
   std::size_t total_macs() const noexcept { return total_macs_; }
@@ -115,15 +126,35 @@ class ExecutionPlan {
   /// Runs step `i` on `in` -> `out` through the captured kernel set.
   /// `packed` is the packed-region base (Workspace::packed_data()), or null
   /// — then steps whose kernels want packed weights take the scalar
-  /// reference path instead (bit-identical under an exact set).
+  /// reference path instead (bit-identical under every set).
   void exec_step(std::size_t i, ConstTensorView<T> in, TensorView<T> out,
                  const T* packed) const;
+
+  /// Cone-limited step `i`. `in` must equal the fault-free input of step i
+  /// everywhere outside `in_box`; `golden_out` is the step's fault-free
+  /// output. Writes the whole of `out`: `golden_out` plus the returned box,
+  /// which holds every output whose receptive field meets `in_box` and is
+  /// recomputed through the plan's kernel set on a tile geometry (conv,
+  /// relu, lrn, maxpool) or, for every other step and whenever the box is
+  /// the whole output, by exec_step on the whole tensor. `tile` is the
+  /// workspace's tile slot (tile_elems() capacity). Bit-identical to
+  /// exec_step: each output is a deterministic function of its receptive
+  /// field under every registered kernel set.
+  Box exec_step_box(std::size_t i, ConstTensorView<T> in, const Box& in_box,
+                    TensorView<T> out, ConstTensorView<T> golden_out,
+                    const T* packed, T* tile) const;
+
+  /// The output box step `i` must recompute when its input differs from
+  /// the fault-free one only inside `in_box` (whole for steps without a
+  /// box rule).
+  Box out_box(std::size_t i, const Box& in_box) const;
 
  private:
   std::vector<PlanStep<T>> steps_;
   Shape input_;
   std::size_t buffer_elems_ = 0;
   std::size_t input_elems_ = 0;
+  std::size_t tile_elems_ = 0;
   std::size_t packed_elems_ = 0;
   std::size_t total_macs_ = 0;
   const kernels::KernelSet<T>* kset_ = nullptr;
@@ -144,10 +175,10 @@ class Workspace {
   void bind(const ExecutionPlan<T>& plan) {
     buffer_elems_ = std::max(buffer_elems_, plan.buffer_elems());
     input_elems_ = std::max(input_elems_, plan.input_elems());
+    tile_elems_ = std::max(tile_elems_, plan.tile_elems());
     packed_cap_ = std::max(packed_cap_, plan.packed_elems());
-    const std::size_t need = 2 * buffer_elems_ + input_elems_ + packed_cap_;
-    if (arena_.size() < need) arena_.resize(need);
-    const std::size_t base = 2 * buffer_elems_ + input_elems_;
+    const std::size_t base = 2 * buffer_elems_ + input_elems_ + tile_elems_;
+    if (arena_.size() < base + packed_cap_) arena_.resize(base + packed_cap_);
     if (plan.packed_elems() > 0 &&
         (packed_plan_ != &plan || packed_base_ != base)) {
       plan.pack_into(arena_.data() + base);
@@ -172,6 +203,11 @@ class Workspace {
     return {s, arena_.data() + 2 * buffer_elems_};
   }
 
+  /// Cone-replay scratch (ExecutionPlan::exec_step_box), tile_elems() long.
+  T* tile_data() noexcept {
+    return arena_.data() + 2 * buffer_elems_ + input_elems_;
+  }
+
   /// Base of the packed weight region for the currently bound plan, or
   /// null when nothing is packed. Valid until the next bind/resize.
   const T* packed_data() const noexcept {
@@ -186,6 +222,7 @@ class Workspace {
   std::vector<T> arena_;
   std::size_t buffer_elems_ = 0;
   std::size_t input_elems_ = 0;
+  std::size_t tile_elems_ = 0;
   std::size_t packed_cap_ = 0;
   const ExecutionPlan<T>* packed_plan_ = nullptr;  ///< identity only
   std::size_t packed_base_ = 0;
@@ -248,13 +285,20 @@ struct ReplayInfo {
   /// output (which the remaining layers would have reproduced exactly).
   bool masked = false;
   std::size_t masked_at = 0;  ///< layer whose output matched (iff masked)
+  /// Output elements the replay computed: the fault layer's box plus every
+  /// replayed layer's box (the whole output for steps run whole).
+  /// Deterministic, but a cost measure only: never written to stats or
+  /// checkpoints.
+  std::size_t elems_run = 0;
 };
 
 /// One forward run, fully described. Exactly one of two modes:
 ///  - plain: `input` set; `observer`, when non-null, sees every layer
 ///    output.
 ///  - faulty: `fault` and `cache` set; only the fault layer (patched) and
-///    the layers after it execute. `observer` sees recomputed layers only.
+///    the layers after it execute, each only over the box of outputs the
+///    fault can reach (ExecutionPlan::exec_step_box). `observer` sees the
+///    whole output of every replayed layer, and only those layers.
 ///    With `early_exit`, the run stops at the first replayed layer whose
 ///    output matches the cache bit-for-bit and returns the cached final
 ///    output; without it, every layer after the fault layer runs.

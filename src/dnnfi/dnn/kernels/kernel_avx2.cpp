@@ -1,4 +1,4 @@
-// AVX2/F16C kernel implementations. Compiled with -mavx2 -mf16c -mfma and
+// AVX2/F16C kernel implementations. Compiled with -mavx2 -mf16c and
 // -ffp-contract=off (src/CMakeLists.txt); entered only behind runtime CPUID
 // probes, so DNNFI-built binaries still run on CPUs without these
 // instructions.
@@ -14,15 +14,13 @@
 //
 // Bit-identity strategy: vectorize ACROSS output channels, one output per
 // lane. Each lane performs the scalar reference's accumulation chain — same
-// (ci, ky, kx) order, separate multiply and add per tap (no FMA in the exact
-// sets; -ffp-contract=off keeps the compiler from contracting the scalar
+// (ci, ky, kx) order, separate multiply and add per tap (no FMA;
+// -ffp-contract=off keeps the compiler from contracting the scalar
 // tails), padded taps multiply a zero activation so NaN/Inf weights
 // propagate identically. FLOAT16 rounds to half after every multiply and
 // every add via VCVTPS2PH with a movemask-guarded fixup to the library's
 // canonical quiet NaN (sign | 0x7E00), matching Half operator semantics
-// bit-for-bit. The avx2_relaxed_* sets instead use FMA (float/double) or
-// float accumulation with a single final rounding (FLOAT16): faster, not
-// bit-identical.
+// bit-for-bit.
 #include "dnnfi/dnn/kernels/kernel_avx2.h"
 
 #if defined(DNNFI_ENABLE_AVX2_KERNELS)
@@ -200,7 +198,6 @@ void fc_rows_half_bits(const FcGeom& g, const std::uint16_t* in,
 // float: 8 outputs per lane-block.
 // ---------------------------------------------------------------------------
 
-template <bool Fma>
 void conv_f32_blocks(const ConvGeom& g, const float* in, const float* wp,
                      const float* bias, float* out, std::size_t blocks) {
   const auto pad = static_cast<std::ptrdiff_t>(g.pad);
@@ -233,10 +230,7 @@ void conv_f32_blocks(const ConvGeom& g, const float* in, const float* wp,
                 act = irow[static_cast<std::size_t>(ix)];
               const __m256 av = _mm256_set1_ps(act);
               const __m256 wv = _mm256_loadu_ps(w);
-              if constexpr (Fma)
-                acc = _mm256_fmadd_ps(wv, av, acc);
-              else
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, av));
+              acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, av));
             }
           }
         }
@@ -250,7 +244,6 @@ void conv_f32_blocks(const ConvGeom& g, const float* in, const float* wp,
   }
 }
 
-template <bool Fma>
 void fc_f32_blocks(const FcGeom& g, const float* in, const float* wp,
                    const float* bias, float* out, std::size_t blocks) {
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -259,10 +252,7 @@ void fc_f32_blocks(const FcGeom& g, const float* in, const float* wp,
     for (std::size_t i = 0; i < g.in; ++i, w += 8) {
       const __m256 av = _mm256_set1_ps(in[i]);
       const __m256 wv = _mm256_loadu_ps(w);
-      if constexpr (Fma)
-        acc = _mm256_fmadd_ps(wv, av, acc);
-      else
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, av));
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, av));
     }
     acc = _mm256_add_ps(acc, _mm256_loadu_ps(bias + b * 8));
     _mm256_storeu_ps(out + b * 8, acc);
@@ -273,7 +263,6 @@ void fc_f32_blocks(const FcGeom& g, const float* in, const float* wp,
 // double: 4 outputs per lane-block.
 // ---------------------------------------------------------------------------
 
-template <bool Fma>
 void conv_f64_blocks(const ConvGeom& g, const double* in, const double* wp,
                      const double* bias, double* out, std::size_t blocks) {
   const auto pad = static_cast<std::ptrdiff_t>(g.pad);
@@ -306,10 +295,7 @@ void conv_f64_blocks(const ConvGeom& g, const double* in, const double* wp,
                 act = irow[static_cast<std::size_t>(ix)];
               const __m256d av = _mm256_set1_pd(act);
               const __m256d wv = _mm256_loadu_pd(w);
-              if constexpr (Fma)
-                acc = _mm256_fmadd_pd(wv, av, acc);
-              else
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, av));
+              acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, av));
             }
           }
         }
@@ -323,7 +309,6 @@ void conv_f64_blocks(const ConvGeom& g, const double* in, const double* wp,
   }
 }
 
-template <bool Fma>
 void fc_f64_blocks(const FcGeom& g, const double* in, const double* wp,
                    const double* bias, double* out, std::size_t blocks) {
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -332,10 +317,7 @@ void fc_f64_blocks(const FcGeom& g, const double* in, const double* wp,
     for (std::size_t i = 0; i < g.in; ++i, w += 4) {
       const __m256d av = _mm256_set1_pd(in[i]);
       const __m256d wv = _mm256_loadu_pd(w);
-      if constexpr (Fma)
-        acc = _mm256_fmadd_pd(wv, av, acc);
-      else
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, av));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, av));
     }
     acc = _mm256_add_pd(acc, _mm256_loadu_pd(bias + b * 4));
     _mm256_storeu_pd(out + b * 4, acc);
@@ -343,12 +325,10 @@ void fc_f64_blocks(const FcGeom& g, const double* in, const double* wp,
 }
 
 // ---------------------------------------------------------------------------
-// FLOAT16: 8 outputs per lane-block. Exact variant rounds to half after
-// every multiply and add; relaxed variant accumulates in float and rounds
-// once per output.
+// FLOAT16: 8 outputs per lane-block, rounded to half after every multiply
+// and add.
 // ---------------------------------------------------------------------------
 
-template <bool Relaxed>
 void conv_f16_blocks(const ConvGeom& g, const std::uint16_t* in,
                      const std::uint16_t* wp, const std::uint16_t* bias,
                      std::uint16_t* out, std::size_t blocks) {
@@ -364,7 +344,6 @@ void conv_f16_blocks(const ConvGeom& g, const std::uint16_t* in,
     for (std::size_t oy = 0; oy < g.out_h; ++oy) {
       for (std::size_t ox = 0; ox < g.out_w; ++ox) {
         __m128i acch = _mm_setzero_si128();
-        __m256 accf = _mm256_setzero_ps();
         const std::uint16_t* w = wb;
         for (std::size_t ci = 0; ci < g.in_c; ++ci) {
           const std::uint16_t* const ic = in + ci * iplane;
@@ -385,25 +364,14 @@ void conv_f16_blocks(const ConvGeom& g, const std::uint16_t* in,
               const __m256 av = _mm256_set1_ps(_cvtsh_ss(act));
               const __m256 wf = _mm256_cvtph_ps(
                   _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-              if constexpr (Relaxed) {
-                accf = _mm256_fmadd_ps(wf, av, accf);
-              } else {
-                const __m128i prod =
-                    cvtps_ph_canon(_mm256_mul_ps(wf, av));
-                acch = cvtps_ph_canon(_mm256_add_ps(
-                    _mm256_cvtph_ps(acch), _mm256_cvtph_ps(prod)));
-              }
+              const __m128i prod = cvtps_ph_canon(_mm256_mul_ps(wf, av));
+              acch = cvtps_ph_canon(_mm256_add_ps(_mm256_cvtph_ps(acch),
+                                                  _mm256_cvtph_ps(prod)));
             }
           }
         }
-        __m128i res;
-        if constexpr (Relaxed) {
-          res = cvtps_ph_canon(
-              _mm256_add_ps(accf, _mm256_cvtph_ps(bh)));
-        } else {
-          res = cvtps_ph_canon(_mm256_add_ps(_mm256_cvtph_ps(acch),
-                                             _mm256_cvtph_ps(bh)));
-        }
+        const __m128i res = cvtps_ph_canon(
+            _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(bh)));
         alignas(16) std::uint16_t lane[8];
         _mm_store_si128(reinterpret_cast<__m128i*>(lane), res);
         const std::size_t pix = oy * g.out_w + ox;
@@ -413,35 +381,24 @@ void conv_f16_blocks(const ConvGeom& g, const std::uint16_t* in,
   }
 }
 
-template <bool Relaxed>
 void fc_f16_blocks(const FcGeom& g, const std::uint16_t* in,
                    const std::uint16_t* wp, const std::uint16_t* bias,
                    std::uint16_t* out, std::size_t blocks) {
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::uint16_t* w = wp + b * g.in * 8;
     __m128i acch = _mm_setzero_si128();
-    __m256 accf = _mm256_setzero_ps();
     for (std::size_t i = 0; i < g.in; ++i, w += 8) {
       const __m256 av = _mm256_set1_ps(_cvtsh_ss(in[i]));
       const __m256 wf = _mm256_cvtph_ps(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-      if constexpr (Relaxed) {
-        accf = _mm256_fmadd_ps(wf, av, accf);
-      } else {
-        const __m128i prod = cvtps_ph_canon(_mm256_mul_ps(wf, av));
-        acch = cvtps_ph_canon(
-            _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(prod)));
-      }
+      const __m128i prod = cvtps_ph_canon(_mm256_mul_ps(wf, av));
+      acch = cvtps_ph_canon(
+          _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(prod)));
     }
     const __m128i bh =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(bias + b * 8));
-    __m128i res;
-    if constexpr (Relaxed) {
-      res = cvtps_ph_canon(_mm256_add_ps(accf, _mm256_cvtph_ps(bh)));
-    } else {
-      res = cvtps_ph_canon(
-          _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(bh)));
-    }
+    const __m128i res = cvtps_ph_canon(
+        _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(bh)));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + b * 8), res);
   }
 }
@@ -644,7 +601,7 @@ void lrn_blocks(const LrnGeom& g, const typename Io::T* in,
 void avx2_conv_float(const ConvGeom& g, const float* in, const float* w,
                      const float* wp, const float* bias, float* out) {
   const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f32_blocks<false>(g, in, wp, bias, out, blocks);
+  if (blocks > 0) conv_f32_blocks(g, in, wp, bias, out, blocks);
   if (blocks * 8 < g.out_c)
     conv_rows_plain<float>(g, in, w, bias, out, blocks * 8, g.out_c);
 }
@@ -652,7 +609,7 @@ void avx2_conv_float(const ConvGeom& g, const float* in, const float* w,
 void avx2_fc_float(const FcGeom& g, const float* in, const float* w,
                    const float* wp, const float* bias, float* out) {
   const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f32_blocks<false>(g, in, wp, bias, out, blocks);
+  if (blocks > 0) fc_f32_blocks(g, in, wp, bias, out, blocks);
   if (blocks * 8 < g.out)
     fc_rows_plain<float>(g, in, w, bias, out, blocks * 8, g.out);
 }
@@ -671,7 +628,7 @@ void avx2_relu_float(const float* in, float* out, std::size_t n) {
 void avx2_conv_double(const ConvGeom& g, const double* in, const double* w,
                       const double* wp, const double* bias, double* out) {
   const std::size_t blocks = g.out_c / 4;
-  if (blocks > 0) conv_f64_blocks<false>(g, in, wp, bias, out, blocks);
+  if (blocks > 0) conv_f64_blocks(g, in, wp, bias, out, blocks);
   if (blocks * 4 < g.out_c)
     conv_rows_plain<double>(g, in, w, bias, out, blocks * 4, g.out_c);
 }
@@ -679,7 +636,7 @@ void avx2_conv_double(const ConvGeom& g, const double* in, const double* w,
 void avx2_fc_double(const FcGeom& g, const double* in, const double* w,
                     const double* wp, const double* bias, double* out) {
   const std::size_t blocks = g.out / 4;
-  if (blocks > 0) fc_f64_blocks<false>(g, in, wp, bias, out, blocks);
+  if (blocks > 0) fc_f64_blocks(g, in, wp, bias, out, blocks);
   if (blocks * 4 < g.out)
     fc_rows_plain<double>(g, in, w, bias, out, blocks * 4, g.out);
 }
@@ -704,7 +661,7 @@ void avx2_conv_half(const ConvGeom& g, const numeric::Half* in,
   const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
   auto* ob = reinterpret_cast<std::uint16_t*>(out);
   const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f16_blocks<false>(g, ib, pb, bb, ob, blocks);
+  if (blocks > 0) conv_f16_blocks(g, ib, pb, bb, ob, blocks);
   if (blocks * 8 < g.out_c)
     conv_rows_half_bits(g, ib, wb, bb, ob, blocks * 8, g.out_c);
 }
@@ -718,7 +675,7 @@ void avx2_fc_half(const FcGeom& g, const numeric::Half* in,
   const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
   auto* ob = reinterpret_cast<std::uint16_t*>(out);
   const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f16_blocks<false>(g, ib, pb, bb, ob, blocks);
+  if (blocks > 0) fc_f16_blocks(g, ib, pb, bb, ob, blocks);
   if (blocks * 8 < g.out)
     fc_rows_half_bits(g, ib, wb, bb, ob, blocks * 8, g.out);
 }
@@ -741,69 +698,6 @@ void avx2_relu_half(const numeric::Half* in, numeric::Half* out,
                      _mm_and_si128(h, m16));
   }
   for (; i < n; ++i) op[i] = (_cvtsh_ss(ip[i]) > 0.0f) ? ip[i] : 0;
-}
-
-void avx2_relaxed_conv_float(const ConvGeom& g, const float* in,
-                             const float* w, const float* wp,
-                             const float* bias, float* out) {
-  const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f32_blocks<true>(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out_c)
-    conv_rows_plain<float>(g, in, w, bias, out, blocks * 8, g.out_c);
-}
-
-void avx2_relaxed_fc_float(const FcGeom& g, const float* in, const float* w,
-                           const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f32_blocks<true>(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out)
-    fc_rows_plain<float>(g, in, w, bias, out, blocks * 8, g.out);
-}
-
-void avx2_relaxed_conv_double(const ConvGeom& g, const double* in,
-                              const double* w, const double* wp,
-                              const double* bias, double* out) {
-  const std::size_t blocks = g.out_c / 4;
-  if (blocks > 0) conv_f64_blocks<true>(g, in, wp, bias, out, blocks);
-  if (blocks * 4 < g.out_c)
-    conv_rows_plain<double>(g, in, w, bias, out, blocks * 4, g.out_c);
-}
-
-void avx2_relaxed_fc_double(const FcGeom& g, const double* in,
-                            const double* w, const double* wp,
-                            const double* bias, double* out) {
-  const std::size_t blocks = g.out / 4;
-  if (blocks > 0) fc_f64_blocks<true>(g, in, wp, bias, out, blocks);
-  if (blocks * 4 < g.out)
-    fc_rows_plain<double>(g, in, w, bias, out, blocks * 4, g.out);
-}
-
-void avx2_relaxed_conv_half(const ConvGeom& g, const numeric::Half* in,
-                            const numeric::Half* w, const numeric::Half* wp,
-                            const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f16_blocks<true>(g, ib, pb, bb, ob, blocks);
-  if (blocks * 8 < g.out_c)
-    conv_rows_half_bits(g, ib, wb, bb, ob, blocks * 8, g.out_c);
-}
-
-void avx2_relaxed_fc_half(const FcGeom& g, const numeric::Half* in,
-                          const numeric::Half* w, const numeric::Half* wp,
-                          const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f16_blocks<true>(g, ib, pb, bb, ob, blocks);
-  if (blocks * 8 < g.out)
-    fc_rows_half_bits(g, ib, wb, bb, ob, blocks * 8, g.out);
 }
 
 // ---------------------------------------------------------------------------
@@ -866,6 +760,19 @@ void avx2_maxpool_float(const PoolGeom& g, const float* in, float* out) {
   }
 }
 
+namespace {
+
+// Four doubles gathered at 32-bit offsets `idx` (in elements). Spelled as
+// the masked gather with an explicit zero source and an all-ones mask:
+// GCC's _mm256_i32gather_pd starts from _mm256_undefined_pd(), which
+// -Wmaybe-uninitialized reports. Same VGATHERDPD, same result.
+inline __m256d gather4d(const double* base, __m128i idx) noexcept {
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx, all, 8);
+}
+
+}  // namespace
+
 void avx2_maxpool_double(const PoolGeom& g, const double* in, double* out) {
   const std::size_t iplane = g.in_h * g.in_w;
   const std::size_t oplane = g.out_h * g.out_w;
@@ -881,11 +788,11 @@ void avx2_maxpool_double(const PoolGeom& g, const double* in, double* out) {
       std::size_t ox = 0;
       for (; ox + 4 <= g.out_w; ox += 4) {
         const double* const base = iwin + ox * g.stride;
-        __m256d best = _mm256_i32gather_pd(base, idx, 8);
+        __m256d best = gather4d(base, idx);
         for (std::size_t ky = 0; ky < g.k; ++ky) {
           const double* const irow = base + ky * g.in_w;
           for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const __m256d v = _mm256_i32gather_pd(irow + kx, idx, 8);
+            const __m256d v = gather4d(irow + kx, idx);
             best = _mm256_blendv_pd(best, v,
                                     _mm256_cmp_pd(v, best, _CMP_GT_OQ));
           }
@@ -1006,7 +913,7 @@ void avx2_avgpool_double(const double* in, double* out, std::size_t channels,
     const double* const base = in + c * plane;
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t i = 0; i < plane; ++i)
-      acc = _mm256_add_pd(acc, _mm256_i32gather_pd(base + i, idx, 8));
+      acc = _mm256_add_pd(acc, gather4d(base + i, idx));
     _mm256_storeu_pd(out + c, _mm256_mul_pd(acc, invv));
   }
   for (; c < channels; ++c) {

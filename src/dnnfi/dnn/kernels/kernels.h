@@ -7,9 +7,9 @@
 // accumulation order, padded taps multiplying a zero activation, trailing
 // bias add). SIMD sets vectorize ACROSS output channels — one output per
 // lane, each lane's accumulation chain identical to the scalar one — so
-// their results are bit-identical to the reference (KernelSet::bit_identical)
-// and call sites with and without SIMD can be mixed freely without changing
-// a single output bit.
+// every registered set is bit-identical to the reference and call sites
+// with and without SIMD can be mixed freely without changing a single
+// output bit.
 //
 // SIMD sets may also keep several outputs' chains in flight at once: the
 // avx512 MAC kernels (kernel_avx512_blocked.h) hold 8 output pixels x one
@@ -28,10 +28,19 @@
 // NaN result is canonicalized to sign | 0x7E00, so two NaNs can differ
 // only in sign. Campaign aggregates never resolve the hole either
 // way, since outcome classification and distance metrics treat all NaNs
-// alike. The other exception is the opt-in "avx2-relaxed" set,
-// which contracts multiply-add (FMA) and, for FLOAT16, accumulates in float:
-// faster, but sums differ by rounding, so it is never selected by default
-// and the campaign bit-identity gates do not hold under it.
+// alike.
+//
+// Geometry independence, the invariant cone-limited fault replay uses
+// (ExecutionPlan::exec_step_box): every kernel of every set computes each
+// output from that output's receptive field alone, by a chain that does not
+// depend on the call's geometry — how many rows, columns or pixels the call
+// covers, where the output sits in a register block, or whether its
+// neighbours are interior or border. So the outputs of a tile (a sub-box of
+// the output, fed the gathered input window, padding written as explicit
+// zeros) equal the same outputs of the whole-tensor call bit-for-bit. A
+// kernel that reassociated sums across outputs, or skipped padded taps
+// instead of multiplying the zero, would break cone replay; the brute-force
+// box tests and the whole-tensor oracle in test_executor guard it.
 //
 // FLOAT16 arithmetic inside avx512. Where the build has -mavx512fp16 and
 // CPUID reports AVX512-FP16, the avx512 set's FLOAT16 conv/fc compute in
@@ -47,7 +56,7 @@
 // kernel_profile().half_arith says which arithmetic runs.
 //
 // Selection happens once per process: the DNNFI_KERNELS environment variable
-// ("scalar" | "avx2" | "avx2-relaxed" | "avx512" | "auto"/unset) is combined
+// ("scalar" | "avx2" | "avx512" | "auto"/unset) is combined
 // with CPUID probes (numeric/cpu.h); "auto" prefers avx512 > avx2 > scalar,
 // and requesting an unavailable set falls back to scalar. ExecutionPlan<T>
 // captures the active set at plan-build time.
@@ -145,8 +154,6 @@ using SoftmaxFn = void (*)(const T* in, T* out, std::size_t n);
 template <typename T>
 struct KernelSet {
   const char* name = "scalar";
-  /// Every output is guaranteed bit-identical to the scalar reference.
-  bool bit_identical = true;
   /// Lane-interleave width of the packed weight layout this set consumes
   /// (0: the set reads row-major weights directly; nothing to pack).
   std::size_t pack_lanes = 0;
@@ -180,7 +187,7 @@ std::vector<const char*> registered_names();
 
 /// Overrides the mode used by subsequent active_kernels calls (and thus
 /// subsequently built ExecutionPlans) for every datapath type: one of
-/// "scalar", "avx2", "avx2-relaxed", "avx512", or "auto" to restore the
+/// "scalar", "avx2", "avx512", or "auto" to restore the
 /// DNNFI_KERNELS / CPUID default. Returns false (and changes nothing) for
 /// unknown names. For tests and benches; call before building the plans it
 /// should affect.
@@ -188,7 +195,7 @@ bool set_active_mode(std::string_view mode);
 
 /// The resolved hardware/dispatch profile, for bench JSON attribution.
 struct KernelProfile {
-  std::string mode;            ///< requested: auto/scalar/avx2/avx2-relaxed/avx512
+  std::string mode;            ///< requested: auto/scalar/avx2/avx512
   bool cpu_avx2 = false;       ///< CPUID probe results
   bool cpu_avx512 = false;     ///< the avx512 kernel bundle (F+BW+VL+DQ)
   bool cpu_avx512fp16 = false; ///< AVX512-FP16 on top of that bundle

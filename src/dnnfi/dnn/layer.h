@@ -8,6 +8,7 @@
 // dispatch to the view path.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -46,6 +47,41 @@ constexpr const char* layer_kind_name(LayerKind k) {
   return "?";
 }
 
+/// A half-open channel x row x column range of a CHW activation (n == 1):
+/// the "dirty box" of cone-limited fault replay, i.e. the outputs a fault
+/// can reach. Flat vectors (FC, softmax) are 1 x 1 x len, so a box over
+/// them is a column range. Empty boxes are all-zero.
+struct Box {
+  std::size_t c0 = 0, c1 = 0;
+  std::size_t y0 = 0, y1 = 0;
+  std::size_t x0 = 0, x1 = 0;
+
+  static Box whole(const Shape& s) noexcept { return {0, s.c, 0, s.h, 0, s.w}; }
+  /// The one element at flat CHW index `flat`.
+  static Box element(const Shape& s, std::size_t flat) noexcept {
+    const std::size_t c = flat / (s.h * s.w), y = flat / s.w % s.h,
+                      x = flat % s.w;
+    return {c, c + 1, y, y + 1, x, x + 1};
+  }
+
+  bool empty() const noexcept { return c0 >= c1 || y0 >= y1 || x0 >= x1; }
+  std::size_t size() const noexcept {
+    return empty() ? 0 : (c1 - c0) * (y1 - y0) * (x1 - x0);
+  }
+  bool covers(const Shape& s) const noexcept {
+    return c0 == 0 && c1 == s.c && y0 == 0 && y1 == s.h && x0 == 0 &&
+           x1 == s.w;
+  }
+  /// Smallest box containing both.
+  Box join(const Box& o) const noexcept {
+    if (o.empty()) return *this;
+    if (empty()) return o;
+    return {std::min(c0, o.c0), std::max(c1, o.c1), std::min(y0, o.y0),
+            std::max(y1, o.y1), std::min(x0, o.x0), std::max(x1, o.x1)};
+  }
+  friend constexpr bool operator==(const Box&, const Box&) = default;
+};
+
 /// Abstract layer. Concrete layers live in layers.h.
 template <typename T>
 class Layer {
@@ -77,11 +113,13 @@ class Layer {
                        InjectionRecord* rec = nullptr) const = 0;
 
   /// Re-applies `faults` assuming `out` already holds the fault-free output
-  /// for `in` (patches only affected elements). Default recomputes fully.
-  virtual void apply_faults(ConstTensorView<T> in, TensorView<T> out,
-                            const LayerFaults& faults,
-                            InjectionRecord* rec) const {
+  /// for `in` (patches only affected elements) and returns the box it wrote:
+  /// every output outside it is left untouched. Default recomputes fully.
+  virtual Box apply_faults(ConstTensorView<T> in, TensorView<T> out,
+                           const LayerFaults& faults,
+                           InjectionRecord* rec) const {
     forward(in, out, &faults, rec);
+    return Box::whole(out.shape());
   }
 
   /// Tensor convenience wrappers: resize `out` then run the view path.
@@ -92,10 +130,10 @@ class Layer {
     out.reshape(out_shape(in.shape()));
     forward(in.view(), out.view(), faults, rec);
   }
-  void apply_faults(const Tensor<T>& in, Tensor<T>& out,
-                    const LayerFaults& faults, InjectionRecord* rec) const {
+  Box apply_faults(const Tensor<T>& in, Tensor<T>& out,
+                   const LayerFaults& faults, InjectionRecord* rec) const {
     DNNFI_EXPECTS(out.shape() == out_shape(in.shape()));
-    apply_faults(in.view(), out.view(), faults, rec);
+    return apply_faults(in.view(), out.view(), faults, rec);
   }
 
   /// Backpropagation (used by the float trainer): given the layer input,

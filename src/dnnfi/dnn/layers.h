@@ -130,10 +130,11 @@ class Conv2d final : public Layer<T> {
     if (faults != nullptr) apply_faults(in, out, *faults, rec);
   }
 
-  void apply_faults(ConstTensorView<T> in, TensorView<T> out,
-                    const LayerFaults& faults,
-                    InjectionRecord* rec) const override {
+  Box apply_faults(ConstTensorView<T> in, TensorView<T> out,
+                   const LayerFaults& faults,
+                   InjectionRecord* rec) const override {
     const Shape os = out.shape();
+    Box box;
     if (faults.mac) {
       const MacFault& f = *faults.mac;
       DNNFI_EXPECTS(f.out_index < out.size() && f.step < steps());
@@ -143,6 +144,7 @@ class Conv2d final : public Layer<T> {
                                   kNoOverride);
       out[f.out_index] = after;
       note_act(rec, before, after);
+      box = box.join(Box::element(os, f.out_index));
     }
     if (faults.weight) {
       const WeightFault& f = *faults.weight;
@@ -164,6 +166,7 @@ class Conv2d final : public Layer<T> {
           out.at(0, co, oy, ox) =
               compute_one(in, co, oy, ox, nullptr, nullptr, ov, kNoOverride);
       note_act(rec, rep_before, out.at(0, co, 0, 0));
+      box = box.join({co, co + 1, 0, os.h, 0, os.w});
     }
     if (faults.scoped_input) {
       const ScopedInputFault& f = *faults.scoped_input;
@@ -183,6 +186,8 @@ class Conv2d final : public Layer<T> {
         out.at(0, f.out_channel, f.out_row, ox) = compute_one(
             in, f.out_channel, f.out_row, ox, nullptr, nullptr, kNoOverride, ov);
       note_act(rec, rep_before, out.at(0, f.out_channel, f.out_row, 0));
+      box = box.join({f.out_channel, f.out_channel + 1, f.out_row,
+                      f.out_row + 1, 0, os.w});
     }
     if (faults.column) {
       // Weight-stationary systolic column propagation (accel::SystolicArray):
@@ -207,8 +212,10 @@ class Conv2d final : public Layer<T> {
         out[e] = after;
         if (first) note_act(rec, before, after);
         first = false;
+        box = box.join({co, co + 1, 0, os.h, 0, os.w});
       }
     }
+    return box;
   }
 
   void backward(const Tensor<T>& in, const Tensor<T>& /*out*/,
@@ -400,9 +407,11 @@ class FullyConnected final : public Layer<T> {
     if (faults != nullptr) apply_faults(in, out, *faults, rec);
   }
 
-  void apply_faults(ConstTensorView<T> in, TensorView<T> out,
-                    const LayerFaults& faults,
-                    InjectionRecord* rec) const override {
+  Box apply_faults(ConstTensorView<T> in, TensorView<T> out,
+                   const LayerFaults& faults,
+                   InjectionRecord* rec) const override {
+    const Shape& os = out.shape();
+    Box box;
     if (faults.mac) {
       const MacFault& f = *faults.mac;
       DNNFI_EXPECTS(f.out_index < out_ && f.step < in_);
@@ -410,6 +419,7 @@ class FullyConnected final : public Layer<T> {
       out[f.out_index] =
           compute_one(in, f.out_index, &f, rec, std::nullopt, std::nullopt);
       note_act(rec, before, out[f.out_index]);
+      box = box.join(Box::element(os, f.out_index));
     }
     if (faults.weight) {
       const WeightFault& f = *faults.weight;
@@ -428,6 +438,7 @@ class FullyConnected final : public Layer<T> {
       out[o] = compute_one(in, o, nullptr, nullptr,
                            Override{f.weight_index, w1}, std::nullopt);
       note_act(rec, before, out[o]);
+      box = box.join(Box::element(os, o));
     }
     if (faults.scoped_input) {
       const ScopedInputFault& f = *faults.scoped_input;
@@ -445,6 +456,7 @@ class FullyConnected final : public Layer<T> {
       out[f.out_channel] = compute_one(in, f.out_channel, nullptr, nullptr,
                                        std::nullopt, Override{f.input_index, v1});
       note_act(rec, before, out[f.out_channel]);
+      box = box.join(Box::element(os, f.out_channel));
     }
     if (faults.column) {
       // Systolic column propagation: FC output o maps onto column o % cols.
@@ -463,8 +475,10 @@ class FullyConnected final : public Layer<T> {
                              std::nullopt);
         if (first) note_act(rec, before, out[o]);
         first = false;
+        box = box.join(Box::element(os, o));
       }
     }
+    return box;
   }
 
   void backward(const Tensor<T>& in, const Tensor<T>& /*out*/,
