@@ -1,26 +1,30 @@
-// AVX2/F16C kernel implementations. Compiled with -mavx2 -mf16c and
-// -ffp-contract=off (src/CMakeLists.txt); entered only behind runtime CPUID
-// probes, so DNNFI-built binaries still run on CPUs without these
-// instructions.
+// AVX2/F16C kernel implementations: 8 float / 4 double / 8 Half outputs per
+// lane-block. Compiled with -mavx2 -mf16c and -ffp-contract=off
+// (src/CMakeLists.txt); entered only behind runtime CPUID probes, so
+// DNNFI-built binaries still run on CPUs without these instructions.
 //
 // Codegen-safety discipline (same as simd_convert_f16c.cpp): everything this
 // TU emits is either an exported avx2_* entry point or an internal-linkage
 // helper. It deliberately instantiates no shared inline library function —
 // no Half member calls, no kernel_scalar.h templates, std::memcpy instead of
 // std::bit_cast — so the linker can never pick a VEX-encoded COMDAT copy of
-// a function that non-AVX2 code paths also call. Remainder rows (output
-// channel counts not divisible by the lane width) are handled by TU-local
-// scalar loops that replicate kernel_scalar.h semantics exactly.
+// a function that non-AVX2 code paths also call. The blocked MAC loops, the
+// scalar remainder rows and f2h come from kernel_simd_blocked.h, included
+// inside this TU's anonymous namespace for exactly that reason.
 //
 // Bit-identity strategy: vectorize ACROSS output channels, one output per
 // lane. Each lane performs the scalar reference's accumulation chain — same
 // (ci, ky, kx) order, separate multiply and add per tap (no FMA;
 // -ffp-contract=off keeps the compiler from contracting the scalar
 // tails), padded taps multiply a zero activation so NaN/Inf weights
-// propagate identically. FLOAT16 rounds to half after every multiply and
-// every add via VCVTPS2PH with a movemask-guarded fixup to the library's
-// canonical quiet NaN (sign | 0x7E00), matching Half operator semantics
-// bit-for-bit.
+// propagate identically; register blocking only interleaves independent
+// chains (see kernel_simd_blocked.h). AVX2 has no mask registers, so the
+// traits' lane masks are integer bit masks ANDed into the broadcast
+// activation's bits. FLOAT16 computes in float and rounds to half after
+// every multiply and add (VCVTPS2PH/VCVTPH2PS); NaNs are canonicalized to
+// sign | 0x7E00 once, at the final store: a NaN is sticky in the chain and
+// keeps its sign through every round trip, so only its payload could
+// differ, and the canonicalization erases the payload (see kernels.h).
 #include "dnnfi/dnn/kernels/kernel_avx2.h"
 
 #if defined(DNNFI_ENABLE_AVX2_KERNELS)
@@ -38,17 +42,7 @@ namespace {
 
 constexpr int kRne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
-inline std::uint16_t canonical_nan_bits(float v) noexcept {
-  std::uint32_t fb;
-  std::memcpy(&fb, &v, sizeof(fb));
-  return static_cast<std::uint16_t>(((fb >> 16) & 0x8000U) | 0x7E00U);
-}
-
-// float -> half bits with the library's canonical-NaN rule, one lane.
-inline std::uint16_t f2h(float v) noexcept {
-  if (v != v) return canonical_nan_bits(v);
-  return static_cast<std::uint16_t>(_cvtss_sh(v, kRne));
-}
+#include "dnnfi/dnn/kernels/kernel_simd_blocked.h"
 
 // float -> half bits, 8 lanes, canonical-NaN rule (VCVTPS2PH would truncate
 // the NaN payload instead, diverging from the software converter).
@@ -67,341 +61,72 @@ inline __m128i cvtps_ph_canon(__m256 v) noexcept {
   return h;
 }
 
-// ---------------------------------------------------------------------------
-// TU-local scalar remainders. Semantically identical to
-// kernels::scalar_conv_rows / scalar_fc_rows, re-stated here so this TU never
-// instantiates an external-linkage template.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-void conv_rows_plain(const ConvGeom& g, const T* in, const T* w_oihw,
-                     const T* bias, T* out, std::size_t co_begin,
-                     std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const T* const wco = w_oihw + co * kvol;
-    const T b = bias[co];
-    T* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        T acc{};
-        const T* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const T* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const T* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              T act{};
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const T product = *w * act;
-              acc += product;
-            }
-          }
-        }
-        acc += b;
-        *op++ = acc;
-      }
-    }
+struct F32 {
+  using Elem = float;
+  using V = __m256;
+  using Mask = std::uint32_t;
+  static constexpr std::size_t kLanes = 8;
+  static constexpr Mask kAll = 0xFFFFFFFFU;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static V bcast(const float* p) { return _mm256_set1_ps(*p); }
+  static V bcast(Mask m, const float* p) {
+    std::uint32_t b;
+    std::memcpy(&b, p, sizeof(b));
+    return _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int>(b & m)));
   }
-}
+  static V mul(V w, V a) { return _mm256_mul_ps(w, a); }
+  static V add(V acc, V x) { return _mm256_add_ps(acc, x); }
+  static void store(V v, float* p) { _mm256_storeu_ps(p, v); }
+};
 
-template <typename T>
-void fc_rows_plain(const FcGeom& g, const T* in, const T* w, const T* bias,
-                   T* out, std::size_t o_begin, std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    T acc{};
-    const T* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const T product = wr[i] * in[i];
-      acc += product;
-    }
-    acc += bias[o];
-    out[o] = acc;
+struct F64 {
+  using Elem = double;
+  using V = __m256d;
+  using Mask = std::uint64_t;
+  static constexpr std::size_t kLanes = 4;
+  static constexpr Mask kAll = ~Mask{0};
+  static V zero() { return _mm256_setzero_pd(); }
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
+  static V bcast(const double* p) { return _mm256_set1_pd(*p); }
+  static V bcast(Mask m, const double* p) {
+    std::uint64_t b;
+    std::memcpy(&b, p, sizeof(b));
+    return _mm256_castsi256_pd(
+        _mm256_set1_epi64x(static_cast<long long>(b & m)));
   }
-}
+  static V mul(V w, V a) { return _mm256_mul_pd(w, a); }
+  static V add(V acc, V x) { return _mm256_add_pd(acc, x); }
+  static void store(V v, double* p) { _mm256_storeu_pd(p, v); }
+};
 
-// FLOAT16 scalar remainders over raw bits, using F16C single-lane converts.
-// Half arithmetic is float-compute-then-round with the canonical-NaN rule;
-// the hardware converts are bit-identical to the software ones (verified
-// exhaustively by test_numeric_half), so these rows match the scalar
-// reference regardless of which conversion path the reference build uses.
-void conv_rows_half_bits(const ConvGeom& g, const std::uint16_t* in,
-                         const std::uint16_t* w_oihw,
-                         const std::uint16_t* bias, std::uint16_t* out,
-                         std::size_t co_begin, std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const std::uint16_t* const wco = w_oihw + co * kvol;
-    const std::uint16_t b = bias[co];
-    std::uint16_t* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        std::uint16_t acc = 0;
-        const std::uint16_t* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const std::uint16_t product =
-                  f2h(_cvtsh_ss(*w) * _cvtsh_ss(act));
-              acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(product));
-            }
-          }
-        }
-        acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(b));
-        *op++ = acc;
-      }
-    }
+/// FLOAT16 via F16C: lanes hold half values widened to float; every
+/// operation rounds back through half (a NaN keeps its sign, its payload is
+/// truncated, and store canonicalizes it).
+struct F16C {
+  using Elem = std::uint16_t;
+  using V = __m256;
+  using Mask = std::uint16_t;
+  static constexpr std::size_t kLanes = 8;
+  static constexpr Mask kAll = 0xFFFF;
+  static V round(V x) { return _mm256_cvtph_ps(_mm256_cvtps_ph(x, kRne)); }
+  static V zero() { return _mm256_setzero_ps(); }
+  static V load(const std::uint16_t* p) {
+    return _mm256_cvtph_ps(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
-}
-
-void fc_rows_half_bits(const FcGeom& g, const std::uint16_t* in,
-                       const std::uint16_t* w, const std::uint16_t* bias,
-                       std::uint16_t* out, std::size_t o_begin,
-                       std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    std::uint16_t acc = 0;
-    const std::uint16_t* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const std::uint16_t product = f2h(_cvtsh_ss(wr[i]) * _cvtsh_ss(in[i]));
-      acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(product));
-    }
-    acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(bias[o]));
-    out[o] = acc;
+  static V bcast(const std::uint16_t* p) {
+    return _mm256_set1_ps(_cvtsh_ss(*p));
   }
-}
-
-// ---------------------------------------------------------------------------
-// float: 8 outputs per lane-block.
-// ---------------------------------------------------------------------------
-
-void conv_f32_blocks(const ConvGeom& g, const float* in, const float* wp,
-                     const float* bias, float* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* const wb = wp + b * kvol * 8;
-    const __m256 bv = _mm256_loadu_ps(bias + b * 8);
-    float* const ob = out + b * 8 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m256 acc = _mm256_setzero_ps();
-        const float* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const float* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const float* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 8) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              float act = 0.0f;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m256 av = _mm256_set1_ps(act);
-              const __m256 wv = _mm256_loadu_ps(w);
-              acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, av));
-            }
-          }
-        }
-        acc = _mm256_add_ps(acc, bv);
-        alignas(32) float lane[8];
-        _mm256_store_ps(lane, acc);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 8; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
+  static V bcast(Mask m, const std::uint16_t* p) {
+    return _mm256_set1_ps(_cvtsh_ss(static_cast<std::uint16_t>(*p & m)));
   }
-}
-
-void fc_f32_blocks(const FcGeom& g, const float* in, const float* wp,
-                   const float* bias, float* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* w = wp + b * g.in * 8;
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t i = 0; i < g.in; ++i, w += 8) {
-      const __m256 av = _mm256_set1_ps(in[i]);
-      const __m256 wv = _mm256_loadu_ps(w);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, av));
-    }
-    acc = _mm256_add_ps(acc, _mm256_loadu_ps(bias + b * 8));
-    _mm256_storeu_ps(out + b * 8, acc);
+  static V mul(V w, V a) { return round(_mm256_mul_ps(w, a)); }
+  static V add(V acc, V x) { return round(_mm256_add_ps(acc, x)); }
+  static void store(V v, std::uint16_t* p) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), cvtps_ph_canon(v));
   }
-}
-
-// ---------------------------------------------------------------------------
-// double: 4 outputs per lane-block.
-// ---------------------------------------------------------------------------
-
-void conv_f64_blocks(const ConvGeom& g, const double* in, const double* wp,
-                     const double* bias, double* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* const wb = wp + b * kvol * 4;
-    const __m256d bv = _mm256_loadu_pd(bias + b * 4);
-    double* const ob = out + b * 4 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m256d acc = _mm256_setzero_pd();
-        const double* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const double* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const double* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 4) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              double act = 0.0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m256d av = _mm256_set1_pd(act);
-              const __m256d wv = _mm256_loadu_pd(w);
-              acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, av));
-            }
-          }
-        }
-        acc = _mm256_add_pd(acc, bv);
-        alignas(32) double lane[4];
-        _mm256_store_pd(lane, acc);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 4; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
-  }
-}
-
-void fc_f64_blocks(const FcGeom& g, const double* in, const double* wp,
-                   const double* bias, double* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* w = wp + b * g.in * 4;
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < g.in; ++i, w += 4) {
-      const __m256d av = _mm256_set1_pd(in[i]);
-      const __m256d wv = _mm256_loadu_pd(w);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, av));
-    }
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(bias + b * 4));
-    _mm256_storeu_pd(out + b * 4, acc);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FLOAT16: 8 outputs per lane-block, rounded to half after every multiply
-// and add.
-// ---------------------------------------------------------------------------
-
-void conv_f16_blocks(const ConvGeom& g, const std::uint16_t* in,
-                     const std::uint16_t* wp, const std::uint16_t* bias,
-                     std::uint16_t* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint16_t* const wb = wp + b * kvol * 8;
-    const __m128i bh =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bias + b * 8));
-    std::uint16_t* const ob = out + b * 8 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m128i acch = _mm_setzero_si128();
-        const std::uint16_t* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 8) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m256 av = _mm256_set1_ps(_cvtsh_ss(act));
-              const __m256 wf = _mm256_cvtph_ps(
-                  _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-              const __m128i prod = cvtps_ph_canon(_mm256_mul_ps(wf, av));
-              acch = cvtps_ph_canon(_mm256_add_ps(_mm256_cvtph_ps(acch),
-                                                  _mm256_cvtph_ps(prod)));
-            }
-          }
-        }
-        const __m128i res = cvtps_ph_canon(
-            _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(bh)));
-        alignas(16) std::uint16_t lane[8];
-        _mm_store_si128(reinterpret_cast<__m128i*>(lane), res);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 8; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
-  }
-}
-
-void fc_f16_blocks(const FcGeom& g, const std::uint16_t* in,
-                   const std::uint16_t* wp, const std::uint16_t* bias,
-                   std::uint16_t* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint16_t* w = wp + b * g.in * 8;
-    __m128i acch = _mm_setzero_si128();
-    for (std::size_t i = 0; i < g.in; ++i, w += 8) {
-      const __m256 av = _mm256_set1_ps(_cvtsh_ss(in[i]));
-      const __m256 wf = _mm256_cvtph_ps(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-      const __m128i prod = cvtps_ph_canon(_mm256_mul_ps(wf, av));
-      acch = cvtps_ph_canon(
-          _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(prod)));
-    }
-    const __m128i bh =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bias + b * 8));
-    const __m128i res = cvtps_ph_canon(
-        _mm256_add_ps(_mm256_cvtph_ps(acch), _mm256_cvtph_ps(bh)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + b * 8), res);
-  }
-}
+};
 
 // ---------------------------------------------------------------------------
 // Post-MAC kernels. Same discipline: TU-local helpers only, <cmath> calls
@@ -600,18 +325,12 @@ void lrn_blocks(const LrnGeom& g, const typename Io::T* in,
 
 void avx2_conv_float(const ConvGeom& g, const float* in, const float* w,
                      const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f32_blocks(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out_c)
-    conv_rows_plain<float>(g, in, w, bias, out, blocks * 8, g.out_c);
+  conv_entry<F32>(g, in, w, wp, bias, out);
 }
 
 void avx2_fc_float(const FcGeom& g, const float* in, const float* w,
                    const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f32_blocks(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out)
-    fc_rows_plain<float>(g, in, w, bias, out, blocks * 8, g.out);
+  fc_entry<F32>(g, in, w, wp, bias, out);
 }
 
 void avx2_relu_float(const float* in, float* out, std::size_t n) {
@@ -627,18 +346,12 @@ void avx2_relu_float(const float* in, float* out, std::size_t n) {
 
 void avx2_conv_double(const ConvGeom& g, const double* in, const double* w,
                       const double* wp, const double* bias, double* out) {
-  const std::size_t blocks = g.out_c / 4;
-  if (blocks > 0) conv_f64_blocks(g, in, wp, bias, out, blocks);
-  if (blocks * 4 < g.out_c)
-    conv_rows_plain<double>(g, in, w, bias, out, blocks * 4, g.out_c);
+  conv_entry<F64>(g, in, w, wp, bias, out);
 }
 
 void avx2_fc_double(const FcGeom& g, const double* in, const double* w,
                     const double* wp, const double* bias, double* out) {
-  const std::size_t blocks = g.out / 4;
-  if (blocks > 0) fc_f64_blocks(g, in, wp, bias, out, blocks);
-  if (blocks * 4 < g.out)
-    fc_rows_plain<double>(g, in, w, bias, out, blocks * 4, g.out);
+  fc_entry<F64>(g, in, w, wp, bias, out);
 }
 
 void avx2_relu_double(const double* in, double* out, std::size_t n) {
@@ -655,47 +368,32 @@ void avx2_relu_double(const double* in, double* out, std::size_t n) {
 void avx2_conv_half(const ConvGeom& g, const numeric::Half* in,
                     const numeric::Half* w, const numeric::Half* wp,
                     const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f16_blocks(g, ib, pb, bb, ob, blocks);
-  if (blocks * 8 < g.out_c)
-    conv_rows_half_bits(g, ib, wb, bb, ob, blocks * 8, g.out_c);
+  conv_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx2_fc_half(const FcGeom& g, const numeric::Half* in,
                   const numeric::Half* w, const numeric::Half* wp,
                   const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f16_blocks(g, ib, pb, bb, ob, blocks);
-  if (blocks * 8 < g.out)
-    fc_rows_half_bits(g, ib, wb, bb, ob, blocks * 8, g.out);
+  fc_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx2_relu_half(const numeric::Half* in, numeric::Half* out,
                     std::size_t n) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
-  const __m256 zero = _mm256_setzero_ps();
+  // A half is > 0 exactly when its bits, read as int16, lie in
+  // (0, 0x7C00]: sign clear, not +0, not a NaN (+Inf is 0x7C00). So 16
+  // lanes compare as integers, with no conversion to float.
+  const auto* ip = bits(in);
+  auto* op = bits(out);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i inf = _mm256_set1_epi16(0x7C00);
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i h =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ip + i));
-    const __m256 f = _mm256_cvtph_ps(h);
-    const __m256i m32 =
-        _mm256_castps_si256(_mm256_cmp_ps(f, zero, _CMP_GT_OQ));
-    const __m128i m16 = _mm_packs_epi32(_mm256_castsi256_si128(m32),
-                                        _mm256_extracti128_si256(m32, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(op + i),
-                     _mm_and_si128(h, m16));
+  for (; i + 16 <= n; i += 16) {
+    const __m256i h =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ip + i));
+    const __m256i keep = _mm256_andnot_si256(_mm256_cmpgt_epi16(h, inf),
+                                             _mm256_cmpgt_epi16(h, zero));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(op + i),
+                        _mm256_and_si256(h, keep));
   }
   for (; i < n; ++i) op[i] = (_cvtsh_ss(ip[i]) > 0.0f) ? ip[i] : 0;
 }
@@ -714,8 +412,7 @@ void avx2_lrn_double(const LrnGeom& g, const double* in, double* out) {
 
 void avx2_lrn_half(const LrnGeom& g, const numeric::Half* in,
                    numeric::Half* out) {
-  lrn_blocks<LaneIoF16>(g, reinterpret_cast<const std::uint16_t*>(in),
-                        reinterpret_cast<std::uint16_t*>(out));
+  lrn_blocks<LaneIoF16>(g, bits(in), bits(out));
 }
 
 void avx2_maxpool_float(const PoolGeom& g, const float* in, float* out) {
@@ -839,8 +536,8 @@ inline __m128i gt_mask16(__m128i a, __m128i b) noexcept {
 
 void avx2_maxpool_half(const PoolGeom& g, const numeric::Half* in,
                        numeric::Half* out) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
+  const auto* ip = bits(in);
+  auto* op = bits(out);
   const std::size_t iplane = g.in_h * g.in_w;
   const std::size_t oplane = g.out_h * g.out_w;
   for (std::size_t c = 0; c < g.c; ++c) {
@@ -926,8 +623,8 @@ void avx2_avgpool_double(const double* in, double* out, std::size_t channels,
 
 void avx2_avgpool_half(const numeric::Half* in, numeric::Half* out,
                        std::size_t channels, std::size_t plane) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
+  const auto* ip = bits(in);
+  auto* op = bits(out);
   const double inv = 1.0 / static_cast<double>(plane);
   const __m256d invv = _mm256_set1_pd(inv);
   std::size_t c = 0;
@@ -1058,8 +755,8 @@ void avx2_softmax_double(const double* in, double* out, std::size_t n) {
 
 void avx2_softmax_half(const numeric::Half* in, numeric::Half* out,
                        std::size_t n) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
+  const auto* ip = bits(in);
+  auto* op = bits(out);
   __m256 run = _mm256_set1_ps(-__builtin_inff());
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {

@@ -2,8 +2,11 @@
 // -mavx2 -mf16c -ffp-contract=off; see src/CMakeLists.txt). Only the
 // registry references these, and only after numeric/cpu.h probes confirm the
 // CPU has the instructions. All functions implement the full KernelSet
-// contract (lane blocks vectorized, remainder rows computed by a TU-local
-// scalar path), so they can be installed directly as KernelSet pointers.
+// contract, so they can be installed directly as KernelSet pointers. Conv
+// and FC are the register-blocked loop of kernel_simd_blocked.h over 8-lane
+// float / 4-lane double / 8-lane Half traits, with the remainder rows from
+// the same header. relu and the post-MAC kernels serve both the avx2 and
+// the avx512 sets.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +19,7 @@ namespace dnnfi::dnn::kernels::detail {
 
 // Bit-identical sets: one output per lane, scalar accumulation order per
 // lane, separate multiply and add (no FMA), FLOAT16 rounded to half after
-// every operation with the canonical quiet-NaN rule.
+// every operation with the canonical quiet-NaN rule applied at the store.
 void avx2_conv_float(const ConvGeom&, const float*, const float*,
                      const float*, const float*, float*);
 void avx2_fc_float(const FcGeom&, const float*, const float*, const float*,
@@ -36,8 +39,8 @@ void avx2_fc_half(const FcGeom&, const numeric::Half*, const numeric::Half*,
                   const numeric::Half*, const numeric::Half*, numeric::Half*);
 void avx2_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
 
-// Post-MAC kernels (bit-identical to the scalar reference; shared by the
-// avx2 and avx512 sets). LRN vectorizes the double-precision
+// Post-MAC kernels (bit-identical to the scalar reference; shared, like
+// relu, by the avx2 and avx512 sets). LRN vectorizes the double-precision
 // window bookkeeping across four spatial positions and keeps the per-element
 // std::pow scalar; maxpool vectorizes across output columns with
 // compare+blend (so NaNs lose exactly as in the scalar `if (v > best)`);

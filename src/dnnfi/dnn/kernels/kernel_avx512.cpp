@@ -9,19 +9,21 @@
 // helper; it instantiates no shared inline library function, so the linker
 // can never pick an EVEX-encoded COMDAT copy of a function that non-AVX-512
 // code paths also call. The blocked loops and the scalar remainder rows come
-// from kernel_avx512_blocked.h, included inside this TU's anonymous
-// namespace for exactly that reason.
+// from kernel_simd_blocked.h, included inside this TU's anonymous
+// namespace for exactly that reason. relu and the other post-MAC kernels
+// are the AVX2 TU's (see registry.cpp).
 //
-// Bit-identity strategy, unchanged from AVX2: vectorize ACROSS output
-// channels, one output per lane, each lane performing the scalar reference's
-// accumulation chain; blocking several output pixels per weight load only
-// interleaves independent chains (see kernel_avx512_blocked.h). FLOAT16 here
-// is the F16C arithmetic: compute in float and round to half after every
-// multiply and add (zmm VCVTPS2PH/VCVTPH2PS), the path for AVX-512 CPUs
-// without AVX512-FP16; kernel_avx512fp16.cpp holds the native one. NaNs are
-// canonicalized to sign | 0x7E00 once, at the final store: a NaN is sticky in
-// the chain and keeps its sign through every round trip, so only its payload
-// could differ, and the canonicalization erases the payload.
+// Bit-identity strategy, the AVX2 TU's through the same loop: vectorize
+// ACROSS output channels, one output per lane, each lane performing the
+// scalar reference's accumulation chain; blocking several output pixels per
+// weight load only interleaves independent chains (see
+// kernel_simd_blocked.h). FLOAT16 here is the F16C arithmetic: compute in
+// float and round to half after every multiply and add (zmm
+// VCVTPS2PH/VCVTPH2PS), the path for AVX-512 CPUs without AVX512-FP16;
+// kernel_avx512fp16.cpp holds the native one. NaNs are canonicalized to
+// sign | 0x7E00 once, at the final store: a NaN is sticky in the chain and
+// keeps its sign through every round trip, so only its payload could
+// differ, and the canonicalization erases the payload.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512_KERNELS)
@@ -38,7 +40,7 @@ namespace {
 
 constexpr int kRne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
-#include "dnnfi/dnn/kernels/kernel_avx512_blocked.h"
+#include "dnnfi/dnn/kernels/kernel_simd_blocked.h"
 
 struct F32 {
   using Elem = float;
@@ -123,75 +125,34 @@ struct F16C {
 
 void avx512_conv_float(const ConvGeom& g, const float* in, const float* w,
                        const float* wp, const float* bias, float* out) {
-  conv_entry<F32>(g, in, w, wp, bias, out, conv_rows_plain<float>);
+  conv_entry<F32>(g, in, w, wp, bias, out);
 }
 
 void avx512_fc_float(const FcGeom& g, const float* in, const float* w,
                      const float* wp, const float* bias, float* out) {
-  fc_entry<F32>(g, in, w, wp, bias, out, fc_rows_plain<float>);
-}
-
-void avx512_relu_float(const float* in, float* out, std::size_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(in + i);
-    const __mmask16 m = _mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ);
-    _mm512_storeu_ps(out + i, _mm512_maskz_mov_ps(m, v));
-  }
-  for (; i < n; ++i) out[i] = (in[i] > 0.0f) ? in[i] : 0.0f;
+  fc_entry<F32>(g, in, w, wp, bias, out);
 }
 
 void avx512_conv_double(const ConvGeom& g, const double* in, const double* w,
                         const double* wp, const double* bias, double* out) {
-  conv_entry<F64>(g, in, w, wp, bias, out, conv_rows_plain<double>);
+  conv_entry<F64>(g, in, w, wp, bias, out);
 }
 
 void avx512_fc_double(const FcGeom& g, const double* in, const double* w,
                       const double* wp, const double* bias, double* out) {
-  fc_entry<F64>(g, in, w, wp, bias, out, fc_rows_plain<double>);
-}
-
-void avx512_relu_double(const double* in, double* out, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(in + i);
-    const __mmask8 m = _mm512_cmp_pd_mask(v, zero, _CMP_GT_OQ);
-    _mm512_storeu_pd(out + i, _mm512_maskz_mov_pd(m, v));
-  }
-  for (; i < n; ++i) out[i] = (in[i] > 0.0) ? in[i] : 0.0;
+  fc_entry<F64>(g, in, w, wp, bias, out);
 }
 
 void avx512_conv_half(const ConvGeom& g, const numeric::Half* in,
                       const numeric::Half* w, const numeric::Half* wp,
                       const numeric::Half* bias, numeric::Half* out) {
-  conv_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out),
-                   conv_rows_half_bits);
+  conv_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx512_fc_half(const FcGeom& g, const numeric::Half* in,
                     const numeric::Half* w, const numeric::Half* wp,
                     const numeric::Half* bias, numeric::Half* out) {
-  fc_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out),
-                 fc_rows_half_bits);
-}
-
-void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
-                      std::size_t n) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i h =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ip + i));
-    const __m512 f = F16C::widen(h);
-    const __mmask16 m = _mm512_cmp_ps_mask(f, zero, _CMP_GT_OQ);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(op + i),
-                        _mm256_maskz_mov_epi16(m, h));
-  }
-  for (; i < n; ++i) op[i] = (_cvtsh_ss(ip[i]) > 0.0f) ? ip[i] : 0;
+  fc_entry<F16C>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 }  // namespace dnnfi::dnn::kernels::detail

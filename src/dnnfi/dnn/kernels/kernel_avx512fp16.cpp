@@ -7,7 +7,7 @@
 // Codegen-safety discipline (same as kernel_avx512.cpp): everything this TU
 // emits is either an exported avx512fp16_* entry point or an internal-linkage
 // helper. The blocked loops and the scalar remainder rows come from
-// kernel_avx512_blocked.h, included inside the anonymous namespace, so no
+// kernel_simd_blocked.h, included inside the anonymous namespace, so no
 // EVEX-FP16 COMDAT copy of a shared function can reach other code paths.
 //
 // Why native equals the reference. numeric::Half computes a+b and a*b in
@@ -37,7 +37,7 @@ namespace dnnfi::dnn::kernels::detail {
 
 namespace {
 
-#include "dnnfi/dnn/kernels/kernel_avx512_blocked.h"
+#include "dnnfi/dnn/kernels/kernel_simd_blocked.h"
 
 /// FLOAT16 in binary16 registers.
 struct F16Native {
@@ -82,15 +82,13 @@ struct F16Native {
 void avx512fp16_conv_half(const ConvGeom& g, const numeric::Half* in,
                           const numeric::Half* w, const numeric::Half* wp,
                           const numeric::Half* bias, numeric::Half* out) {
-  conv_entry<F16Native>(g, bits(in), bits(w), bits(wp), bits(bias),
-                        bits(out), conv_rows_half_bits);
+  conv_entry<F16Native>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx512fp16_fc_half(const FcGeom& g, const numeric::Half* in,
                         const numeric::Half* w, const numeric::Half* wp,
                         const numeric::Half* bias, numeric::Half* out) {
-  fc_entry<F16Native>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out),
-                      fc_rows_half_bits);
+  fc_entry<F16Native>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx512fp16_add_mul(const std::uint16_t* a, const std::uint16_t* b,

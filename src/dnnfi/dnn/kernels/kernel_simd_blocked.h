@@ -1,22 +1,24 @@
-// The register-blocked MAC loops shared by the two AVX-512 kernel TUs
-// (kernel_avx512.cpp and kernel_avx512fp16.cpp), written once over a thin
-// per-type arithmetic trait.
+// The register-blocked MAC loops shared by every SIMD kernel TU
+// (kernel_avx2.cpp, kernel_avx512.cpp and kernel_avx512fp16.cpp), written
+// once over a thin per-type arithmetic trait.
 //
 // NOT a normal header: each TU includes it INSIDE its anonymous namespace,
 // after <immintrin.h>, <cstddef>, <cstdint> and <cstring>, so every function
 // here gets internal linkage and is compiled with that TU's instruction-set
-// flags. No EVEX (or EVEX-FP16) COMDAT can therefore leak into baseline code
-// paths. It includes nothing itself for the same reason.
+// flags. No VEX, EVEX or EVEX-FP16 COMDAT can therefore leak into baseline
+// code paths. It includes nothing itself for the same reason.
 //
 // Trait contract (Tr):
 //   Elem                storage element (float, double, or Half bits)
 //   V                   one lane-block register: kLanes outputs
-//   Mask, kAll          AVX-512 lane mask type and its all-lanes value
+//   Mask, kAll          per-tap lane mask and its all-lanes value: either an
+//                       AVX-512 mask register or an integer bit mask as wide
+//                       as Elem (kAll all ones)
 //   zero()              all lanes +0
 //   load(p)             kLanes packed weights (or biases) at p
 //   bcast(p)            activation *p in every lane
-//   bcast(m, p)         *p in every lane when m == kAll, +0 when m == 0
-//                       (p is always readable)
+//   bcast(m, p)         *p in every lane when m == kAll, +0 in every lane
+//                       when m == 0 (p is always readable)
 //   mul(w, a), add(acc, x)
 //                       one rounded operation in the datapath type; the
 //                       operand order is the scalar reference's
@@ -183,55 +185,55 @@ void fc_blocked(const FcGeom& g, const typename Tr::Elem* in,
   for (; b < blocks; ++b) fc_block_group<Tr, 1>(g, in, wp, bias, out, b);
 }
 
-/// Conv / FC entry body shared by every datapath type: full lane-blocks
-/// through the blocked loop, remainder rows (and kernels too large for the
-/// tap table) through the scalar `rows`.
-template <class Tr, typename Rows>
-void conv_entry(const ConvGeom& g, const typename Tr::Elem* in,
-                const typename Tr::Elem* w, const typename Tr::Elem* wp,
-                const typename Tr::Elem* bias, typename Tr::Elem* out,
-                Rows rows) {
-  std::size_t blocks = g.out_c / Tr::kLanes;
-  if (g.k * g.k > kMaxTaps) blocks = 0;
-  if (blocks > 0) conv_blocked<Tr>(g, in, wp, bias, out, blocks);
-  if (blocks * Tr::kLanes < g.out_c)
-    rows(g, in, w, bias, out, blocks * Tr::kLanes, g.out_c);
-}
-
-template <class Tr, typename Rows>
-void fc_entry(const FcGeom& g, const typename Tr::Elem* in,
-              const typename Tr::Elem* w, const typename Tr::Elem* wp,
-              const typename Tr::Elem* bias, typename Tr::Elem* out,
-              Rows rows) {
-  const std::size_t blocks = g.out / Tr::kLanes;
-  if (blocks > 0) fc_blocked<Tr>(g, in, wp, bias, out, blocks);
-  if (blocks * Tr::kLanes < g.out)
-    rows(g, in, w, bias, out, blocks * Tr::kLanes, g.out);
-}
-
-inline const std::uint16_t* bits(const numeric::Half* p) {
-  return reinterpret_cast<const std::uint16_t*>(p);
-}
-inline std::uint16_t* bits(numeric::Half* p) {
-  return reinterpret_cast<std::uint16_t*>(p);
-}
-
 // ---------------------------------------------------------------------------
-// Scalar remainder rows (output channels past the last full lane-block),
-// re-stated from kernel_scalar.h so these TUs never instantiate an
-// external-linkage template. Half works on raw bits with F16C scalar
-// converts, rounding after every multiply and add like numeric::Half.
+// Scalar remainder rows (output channels past the last full lane-block, and
+// kernels too large for the tap table), re-stated from kernel_scalar.h so
+// the SIMD TUs never instantiate an external-linkage template.
 // ---------------------------------------------------------------------------
 
+/// The library's canonical half NaN for a float NaN: its sign | 0x7E00.
+inline std::uint16_t canonical_nan_bits(float v) noexcept {
+  std::uint32_t fb;
+  std::memcpy(&fb, &v, sizeof(fb));
+  return static_cast<std::uint16_t>(((fb >> 16) & 0x8000U) | 0x7E00U);
+}
+
+/// float -> half bits with the library's canonical-NaN rule.
+inline std::uint16_t f2h(float v) noexcept {
+  if (v != v) return canonical_nan_bits(v);
+  return static_cast<std::uint16_t>(
+      _cvtss_sh(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+}
+
+/// One rounded multiply / add of the remainder rows: T's own operators for
+/// float and double. Half works on raw bits with F16C scalar converts,
+/// rounding after every multiply and add like numeric::Half; the hardware
+/// converts are bit-identical to the software ones (test_numeric_half
+/// checks every value).
 template <typename T>
-void conv_rows_plain(const ConvGeom& g, const T* in, const T* w_oihw,
-                     const T* bias, T* out, std::size_t co_begin,
-                     std::size_t co_end) {
+struct RowArith {
+  static T mul(T a, T b) noexcept { return a * b; }
+  static T add(T a, T b) noexcept { return a + b; }
+};
+template <>
+struct RowArith<std::uint16_t> {
+  static std::uint16_t mul(std::uint16_t a, std::uint16_t b) noexcept {
+    return f2h(_cvtsh_ss(a) * _cvtsh_ss(b));
+  }
+  static std::uint16_t add(std::uint16_t a, std::uint16_t b) noexcept {
+    return f2h(_cvtsh_ss(a) + _cvtsh_ss(b));
+  }
+};
+
+/// Conv output channels [co_begin, co_end) from the row-major OIHW weights.
+template <typename T>
+void conv_rows(const ConvGeom& g, const T* in, const T* w_oihw, const T* bias,
+               T* out, std::size_t co_begin, std::size_t co_end) {
+  using A = RowArith<T>;
   const auto pad = static_cast<std::ptrdiff_t>(g.pad);
   const std::size_t kvol = g.in_c * g.k * g.k;
   for (std::size_t co = co_begin; co < co_end; ++co) {
     const T* const wco = w_oihw + co * kvol;
-    const T b = bias[co];
     T* op = out + co * g.out_h * g.out_w;
     for (std::size_t oy = 0; oy < g.out_h; ++oy) {
       for (std::size_t ox = 0; ox < g.out_w; ++ox) {
@@ -253,100 +255,57 @@ void conv_rows_plain(const ConvGeom& g, const T* in, const T* w_oihw,
               if (row_ok && ix >= 0 &&
                   ix < static_cast<std::ptrdiff_t>(g.in_w))
                 act = irow[static_cast<std::size_t>(ix)];
-              const T product = *w * act;
-              acc += product;
+              acc = A::add(acc, A::mul(*w, act));
             }
           }
         }
-        acc += b;
-        *op++ = acc;
+        *op++ = A::add(acc, bias[co]);
       }
     }
   }
 }
 
+/// FC outputs [o_begin, o_end) from the row-major weights.
 template <typename T>
-void fc_rows_plain(const FcGeom& g, const T* in, const T* w, const T* bias,
-                   T* out, std::size_t o_begin, std::size_t o_end) {
+void fc_rows(const FcGeom& g, const T* in, const T* w, const T* bias, T* out,
+             std::size_t o_begin, std::size_t o_end) {
+  using A = RowArith<T>;
   for (std::size_t o = o_begin; o < o_end; ++o) {
     T acc{};
     const T* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const T product = wr[i] * in[i];
-      acc += product;
-    }
-    acc += bias[o];
-    out[o] = acc;
+    for (std::size_t i = 0; i < g.in; ++i)
+      acc = A::add(acc, A::mul(wr[i], in[i]));
+    out[o] = A::add(acc, bias[o]);
   }
 }
 
-/// float -> half bits with the library's canonical-NaN rule (sign | 0x7E00).
-inline std::uint16_t f2h(float v) noexcept {
-  if (v != v) {
-    std::uint32_t fb;
-    std::memcpy(&fb, &v, sizeof(fb));
-    return static_cast<std::uint16_t>(((fb >> 16) & 0x8000U) | 0x7E00U);
-  }
-  return static_cast<std::uint16_t>(
-      _cvtss_sh(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+/// Conv / FC entry body shared by every datapath type: full lane-blocks
+/// through the blocked loop, remainder rows (and kernels too large for the
+/// tap table) through the scalar rows.
+template <class Tr>
+void conv_entry(const ConvGeom& g, const typename Tr::Elem* in,
+                const typename Tr::Elem* w, const typename Tr::Elem* wp,
+                const typename Tr::Elem* bias, typename Tr::Elem* out) {
+  std::size_t blocks = g.out_c / Tr::kLanes;
+  if (g.k * g.k > kMaxTaps) blocks = 0;
+  if (blocks > 0) conv_blocked<Tr>(g, in, wp, bias, out, blocks);
+  if (blocks * Tr::kLanes < g.out_c)
+    conv_rows(g, in, w, bias, out, blocks * Tr::kLanes, g.out_c);
 }
 
-/// a*b and a+b on Half bits, rounded to half like numeric::Half.
-inline std::uint16_t hmul(std::uint16_t a, std::uint16_t b) noexcept {
-  return f2h(_cvtsh_ss(a) * _cvtsh_ss(b));
-}
-inline std::uint16_t hadd(std::uint16_t a, std::uint16_t b) noexcept {
-  return f2h(_cvtsh_ss(a) + _cvtsh_ss(b));
-}
-
-inline void conv_rows_half_bits(const ConvGeom& g, const std::uint16_t* in,
-                         const std::uint16_t* w_oihw,
-                         const std::uint16_t* bias, std::uint16_t* out,
-                         std::size_t co_begin, std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const std::uint16_t* const wco = w_oihw + co * kvol;
-    const std::uint16_t b = bias[co];
-    std::uint16_t* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        std::uint16_t acc = 0;
-        const std::uint16_t* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              acc = hadd(acc, hmul(*w, act));
-            }
-          }
-        }
-        *op++ = hadd(acc, b);
-      }
-    }
-  }
+template <class Tr>
+void fc_entry(const FcGeom& g, const typename Tr::Elem* in,
+              const typename Tr::Elem* w, const typename Tr::Elem* wp,
+              const typename Tr::Elem* bias, typename Tr::Elem* out) {
+  const std::size_t blocks = g.out / Tr::kLanes;
+  if (blocks > 0) fc_blocked<Tr>(g, in, wp, bias, out, blocks);
+  if (blocks * Tr::kLanes < g.out)
+    fc_rows(g, in, w, bias, out, blocks * Tr::kLanes, g.out);
 }
 
-inline void fc_rows_half_bits(const FcGeom& g, const std::uint16_t* in,
-                       const std::uint16_t* w, const std::uint16_t* bias,
-                       std::uint16_t* out, std::size_t o_begin,
-                       std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    std::uint16_t acc = 0;
-    const std::uint16_t* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) acc = hadd(acc, hmul(wr[i], in[i]));
-    out[o] = hadd(acc, bias[o]);
-  }
+inline const std::uint16_t* bits(const numeric::Half* p) {
+  return reinterpret_cast<const std::uint16_t*>(p);
+}
+inline std::uint16_t* bits(numeric::Half* p) {
+  return reinterpret_cast<std::uint16_t*>(p);
 }

@@ -12,10 +12,13 @@
 // output bit.
 //
 // SIMD sets may also keep several outputs' chains in flight at once: the
-// avx512 MAC kernels (kernel_avx512_blocked.h) hold 8 output pixels x one
-// lane-block of output channels in registers and load each tap's weight
-// vector once for all 8 (FC: 4 lane-blocks sharing each broadcast input).
-// That only interleaves independent chains, so it changes no output bit.
+// avx2 and avx512 MAC kernels are one register-blocked loop
+// (kernel_simd_blocked.h) over a per-type trait. It holds 8 output pixels
+// x one lane-block of output channels (8 float / 4 double / 8 Half lanes
+// under avx2, 16 / 8 / 16 under avx512) in registers and loads each tap's
+// weight vector once for all 8 (FC: 4 lane-blocks sharing each broadcast
+// input). That only interleaves independent chains, so it changes no
+// output bit.
 //
 // One documented hole in the bit-identity claim: when two NaNs with
 // DIFFERENT bit patterns meet in a single addition, x86 keeps whichever
@@ -53,7 +56,9 @@
 // sticky in an add chain and carries its sign the same way in either
 // form, so only its payload could differ, and canonicalization erases
 // the payload. The set keeps the name "avx512" either way;
-// kernel_profile().half_arith says which arithmetic runs.
+// kernel_profile().half_arith says which arithmetic runs. The avx2 set's
+// FLOAT16 conv/fc are the same F16C arithmetic at 8 lanes, with the same
+// final-store canonicalization.
 //
 // Selection happens once per process: the DNNFI_KERNELS environment variable
 // ("scalar" | "avx2" | "avx512" | "auto"/unset) is combined
@@ -66,7 +71,9 @@
 // workspace arena at Workspace::bind time (the plan-time layout transform).
 // Public tensors stay NCHW/OIHW; the packed copy is invisible outside the
 // kernel call. Only full blocks of `lanes` rows are packed — remainder rows
-// are computed by the scalar reference directly from the row-major weights.
+// are computed directly from the row-major weights by scalar rows that
+// restate the reference once, in kernel_simd_blocked.h, and are compiled
+// into each SIMD TU.
 #pragma once
 
 #include <cstddef>

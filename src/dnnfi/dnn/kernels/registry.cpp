@@ -127,67 +127,63 @@ bool native_half_available() {
 #endif
 }
 
-/// The avx512 Half set with the given MAC kernels.
-KernelSet<numeric::Half> avx512_half_set(ConvFn<numeric::Half> conv,
-                                         FcFn<numeric::Half> fc) {
-  return {"avx512",
-          16,
-          conv,
-          fc,
-          detail::avx512_relu_half,
-          detail::avx2_lrn_half,
-          detail::avx2_maxpool_half,
-          detail::avx2_avgpool_half,
-          detail::avx2_softmax_half};
+/// An avx512 set: a copy of the avx2 set `avx2` with the AVX-512 MAC
+/// kernels and their packed-layout width in place of its own. relu and the
+/// post-MAC kernels stay the AVX2 ones (every AVX-512 CPU also runs AVX2).
+template <typename T>
+KernelSet<T> with_avx512_mac(const KernelSet<T>& avx2, std::size_t lanes,
+                             ConvFn<T> conv, FcFn<T> fc) {
+  KernelSet<T> s = avx2;
+  s.name = "avx512";
+  s.pack_lanes = lanes;
+  s.conv = conv;
+  s.fc = fc;
+  return s;
 }
 
 /// The avx512 Half set with F16C float-compute MAC kernels, whatever the
 /// registered avx512 set resolved to; null where avx512 is unavailable.
 const KernelSet<numeric::Half>* avx512_f16c_set() {
-  if (!numeric::cpu_has_avx512_kernel_bundle() || !numeric::cpu_has_avx2() ||
-      !numeric::cpu_has_f16c())
+  const KernelSet<numeric::Half>* avx2 = avx2_set<numeric::Half>();
+  if (!numeric::cpu_has_avx512_kernel_bundle() || avx2 == nullptr)
     return nullptr;
-  static const KernelSet<numeric::Half> s =
-      avx512_half_set(detail::avx512_conv_half, detail::avx512_fc_half);
+  static const KernelSet<numeric::Half> s = with_avx512_mac(
+      *avx2, 16, detail::avx512_conv_half, detail::avx512_fc_half);
   return &s;
 }
 
 /// The AVX-512 set for T: 16-lane float, 8-lane double, 16-lane Half MAC
-/// kernels from the -mavx512f TUs, post-MAC kernels shared with the AVX2 TU
-/// (every AVX-512 CPU also runs AVX2). Gated on the full avx512 kernel
-/// bundle (F+BW+VL+DQ, see numeric/cpu.h) so Knights-Landing-class parts
-/// fall back rather than fault in the Half mask blends. Half conv/fc run
-/// native AVX512-FP16 arithmetic where available, F16C float-compute
-/// otherwise; both are bit-identical, so the set's name does not change.
+/// kernels from the -mavx512f TUs on top of the avx2 set for T. Gated on
+/// the full avx512 kernel bundle (F+BW+VL+DQ, see numeric/cpu.h) so
+/// Knights-Landing-class parts fall back rather than fault in the Half mask
+/// blends. Half conv/fc run native AVX512-FP16 arithmetic where available,
+/// F16C float-compute otherwise; both are bit-identical, so the set's name
+/// does not change.
 template <typename T>
 const KernelSet<T>* avx512_set() {
-  if (!numeric::cpu_has_avx512_kernel_bundle() || !numeric::cpu_has_avx2())
+  const KernelSet<T>* avx2 = avx2_set<T>();
+  if (!numeric::cpu_has_avx512_kernel_bundle() || avx2 == nullptr)
     return nullptr;
   if constexpr (std::is_same_v<T, float>) {
-    static const KernelSet<float> s{
-        "avx512", 16, detail::avx512_conv_float, detail::avx512_fc_float,
-        detail::avx512_relu_float, detail::avx2_lrn_float,
-        detail::avx2_maxpool_float, detail::avx2_avgpool_float,
-        detail::avx2_softmax_float};
+    static const KernelSet<float> s = with_avx512_mac(
+        *avx2, 16, detail::avx512_conv_float, detail::avx512_fc_float);
     return &s;
   } else if constexpr (std::is_same_v<T, double>) {
-    static const KernelSet<double> s{
-        "avx512", 8, detail::avx512_conv_double,
-        detail::avx512_fc_double, detail::avx512_relu_double,
-        detail::avx2_lrn_double, detail::avx2_maxpool_double,
-        detail::avx2_avgpool_double, detail::avx2_softmax_double};
+    static const KernelSet<double> s = with_avx512_mac(
+        *avx2, 8, detail::avx512_conv_double, detail::avx512_fc_double);
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Half>) {
 #if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
     if (native_half_available()) {
-      static const KernelSet<numeric::Half> s = avx512_half_set(
-          detail::avx512fp16_conv_half, detail::avx512fp16_fc_half);
+      static const KernelSet<numeric::Half> s =
+          with_avx512_mac(*avx2, 16, detail::avx512fp16_conv_half,
+                          detail::avx512fp16_fc_half);
       return &s;
     }
 #endif
     return avx512_f16c_set();
   } else {
-    return nullptr;  // fixed-point stays scalar-only
+    return nullptr;  // unreachable: fixed-point has no avx2 set either
   }
 }
 

@@ -4,8 +4,6 @@
 // shard partition, and across checkpoint/kill/resume boundaries.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +13,7 @@
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
+#include "temp_path.h"
 
 namespace dnnfi::fault {
 namespace {
@@ -117,9 +116,7 @@ ShardCapture capture(const Campaign& c, const CampaignOptions& opt,
 }
 
 std::string temp_path(const std::string& stem) {
-  return (std::filesystem::temp_directory_path() /
-          ("dnnfi_test_" + stem + "_" + std::to_string(::getpid()) + ".ckpt"))
-      .string();
+  return testutil::temp_path("dnnfi_test_" + stem + ".ckpt").string();
 }
 
 struct TempFile {

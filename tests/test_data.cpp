@@ -9,6 +9,7 @@
 #include "dnnfi/data/datasets.h"
 #include "dnnfi/data/image_io.h"
 #include "dnnfi/data/pretrain.h"
+#include "temp_path.h"
 
 namespace dnnfi::data {
 namespace {
@@ -99,7 +100,7 @@ TEST(Ppm, RoundTripsImage) {
   ShapesDataset ds(4);
   const auto img = ds.sample(3).image;
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dnnfi_test.ppm").string();
+      testutil::temp_path("dnnfi_test.ppm").string();
   write_ppm(path, img);
   const auto back = read_ppm(path);
   ASSERT_EQ(back.shape(), img.shape());
@@ -114,7 +115,7 @@ TEST(Ppm, RoundTripsImage) {
 TEST(Ppm, RejectsBadFiles) {
   EXPECT_THROW(read_ppm("/nonexistent.ppm"), std::runtime_error);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dnnfi_not_ppm.ppm").string();
+      testutil::temp_path("dnnfi_not_ppm.ppm").string();
   {
     std::ofstream f(path);
     f << "P3\n1 1\n255\n0 0 0\n";  // ASCII PPM, unsupported
@@ -125,7 +126,8 @@ TEST(Ppm, RejectsBadFiles) {
 
 TEST(Ppm, RequiresThreeChannels) {
   tensor::Tensor<float> gray(tensor::chw(1, 4, 4));
-  EXPECT_THROW(write_ppm("/tmp/never.ppm", gray), std::runtime_error);
+  EXPECT_THROW(write_ppm(testutil::temp_path("never.ppm").string(), gray),
+               std::runtime_error);
 }
 
 TEST(Pretrain, DatasetBindingMatchesPaperTable2) {

@@ -11,6 +11,7 @@
 #include "dnnfi/dnn/serialize.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
+#include "temp_path.h"
 
 namespace dnnfi::dnn {
 namespace {
@@ -265,7 +266,7 @@ TEST(Serialize, RoundTripsSpecAndWeights) {
   const auto spec = tiny_spec();
   const auto blob = random_blob(spec, 11);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dnnfi_test_model.dnnfi").string();
+      testutil::temp_path("dnnfi_test_model.dnnfi").string();
   save_model(path, spec, blob);
   EXPECT_TRUE(is_model_file(path));
   const Model m = load_model(path);
@@ -280,7 +281,7 @@ TEST(Serialize, RoundTripsSpecAndWeights) {
 
 TEST(Serialize, RejectsGarbage) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "dnnfi_garbage.bin").string();
+      testutil::temp_path("dnnfi_garbage.bin").string();
   {
     std::ofstream f(path, std::ios::binary);
     f << "this is not a model";

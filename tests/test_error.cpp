@@ -20,6 +20,7 @@
 #include "dnnfi/common/error.h"
 #include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/fault/stats_io.h"
+#include "temp_path.h"
 
 namespace dnnfi {
 namespace {
@@ -122,7 +123,7 @@ std::vector<std::string> tmp_files(const fs::path& dir) {
 }
 
 TEST(AtomicFile, SuccessLeavesNoTmpSibling) {
-  const fs::path dir = fs::temp_directory_path() / "dnnfi_atomic_test_single";
+  const fs::path dir = testutil::temp_path("dnnfi_atomic_test_single");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const fs::path path = dir / "out.txt";
@@ -135,8 +136,7 @@ TEST(AtomicFile, SuccessLeavesNoTmpSibling) {
 TEST(AtomicFile, ConcurrentWritersOfOnePathAllSucceed) {
   // An orphaned worker and its replacement can write one checkpoint path at
   // the same time; every write must land whole and leave no tmp behind.
-  const fs::path dir =
-      fs::temp_directory_path() / "dnnfi_atomic_test_concurrent";
+  const fs::path dir = testutil::temp_path("dnnfi_atomic_test_concurrent");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = (dir / "shard.ckpt").string();
@@ -175,8 +175,8 @@ class CheckpointErrors : public ::testing::Test {
     // processes, and a shared directory would let one test's TearDown
     // delete another's checkpoint mid-load.
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("dnnfi_test_error_ckpt_") + info->name());
+    dir_ = testutil::temp_path(std::string("dnnfi_test_error_ckpt_") +
+                               info->name());
     fs::create_directories(dir_);
     path_ = (dir_ / "shard.ckpt").string();
   }

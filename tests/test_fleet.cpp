@@ -33,6 +33,7 @@
 #include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/fault/fleet.h"
 #include "dnnfi/fault/transport.h"
+#include "temp_path.h"
 
 namespace dnnfi::fault {
 namespace {
@@ -226,7 +227,7 @@ TEST(HostSpec, RejectsMalformedSpecs) {
 }
 
 TEST(HostSpec, HostsFileSkipsCommentsAndNamesBadLines) {
-  const fs::path file = fs::temp_directory_path() / "dnnfi_fleet_hosts_test";
+  const fs::path file = testutil::temp_path("dnnfi_fleet_hosts_test");
   {
     std::ofstream out(file);
     out << "# fleet for the nightly\n"
@@ -256,7 +257,7 @@ FleetConfig test_fleet_config() {
   cfg.fail_limit = 3;
   cfg.quarantine_base_s = 60.0;  // long enough to be "forever" in a test
   cfg.quarantine_cap_s = 300.0;
-  cfg.scratch_root = "/tmp/dnnfi_fleet_unit";
+  cfg.scratch_root = testutil::temp_path("dnnfi_fleet_unit").string();
   return cfg;
 }
 
@@ -375,10 +376,10 @@ int shipped_count(const std::string& log) {
 class FleetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("dnnfi_test_fleet_" + std::string(::testing::UnitTest::GetInstance()
-                                                  ->current_test_info()
-                                                  ->name()));
+    dir_ = testutil::temp_path("dnnfi_test_fleet_" +
+                               std::string(::testing::UnitTest::GetInstance()
+                                               ->current_test_info()
+                                               ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -514,16 +515,19 @@ TEST_F(FleetTest, FakeSshTransportCarriesTheWholeProtocol) {
   ASSERT_FALSE(mono.empty());
   // A stand-in ssh client: drops the host argument and runs the command
   // locally — the full quoted-command + framed-stdio path a real ssh fleet
-  // exercises, minus the network.
+  // exercises, minus the network. The host's workdir keeps the "remote"
+  // scratch inside this test's directory instead of the shared default
+  // under /tmp.
   const std::string fake = path("fake_ssh.sh");
   {
     std::ofstream out(fake);
     out << "#!/bin/sh\nshift\nexec sh -c \"$1\"\n";
   }
   ASSERT_EQ(chmod(fake.c_str(), 0755), 0);
-  ASSERT_EQ(run_tool(supervise_flags("--hosts worker-box:2"),
-                     "DNNFI_FLEET_SSH='" + fake + "'", path("sup.log")),
-            0)
+  ASSERT_EQ(
+      run_tool(supervise_flags("--hosts worker-box:2:" + path("remote")),
+               "DNNFI_FLEET_SSH='" + fake + "'", path("sup.log")),
+      0)
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
 }

@@ -5,8 +5,6 @@
 // injection depths, thread counts, and site classes (DESIGN.md §8).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -16,6 +14,7 @@
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/mitigate/sed.h"
+#include "temp_path.h"
 
 namespace dnnfi::fault {
 namespace {
@@ -119,9 +118,7 @@ ShardCapture capture(const Campaign& c, const CampaignOptions& opt,
 }
 
 std::string temp_path(const std::string& stem) {
-  return (std::filesystem::temp_directory_path() /
-          ("dnnfi_test_" + stem + "_" + std::to_string(::getpid()) + ".ckpt"))
-      .string();
+  return testutil::temp_path("dnnfi_test_" + stem + ".ckpt").string();
 }
 
 struct TempFile {

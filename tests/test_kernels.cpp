@@ -43,8 +43,12 @@ using tensor::Tensor;
 /// (see kernels.h). Within a variant every NaN that can arise shares a
 /// single bit pattern (the planted canonical NaN, or the FFC00000-style
 /// "indefinite" from Inf*0 / Inf-Inf), which x86 propagates verbatim
-/// regardless of operand order, keeping the comparison exact.
-enum class Season { kFinite, kNaN, kInf };
+/// regardless of operand order, keeping the comparison exact. kNaNPayload
+/// plants a quiet NaN with a non-canonical payload (lowest mantissa bit
+/// set), as a flipped bit can make: float and double carry it verbatim,
+/// while every FLOAT16 result must still read sign | 0x7E00, which the SIMD
+/// Half kernels only enforce at their final store.
+enum class Season { kFinite, kNaN, kInf, kNaNPayload };
 
 /// Deterministic awkward values in roughly [-3, 3]; floating types also get
 /// the requested non-finite values planted at fixed positions.
@@ -64,6 +68,13 @@ std::vector<T> awkward(std::size_t n, std::uint64_t salt, Season season) {
       v[n / 5] = Tr::from_double(std::numeric_limits<double>::infinity());
       v[n / 2] = Tr::from_double(-std::numeric_limits<double>::infinity());
       v[2 * n / 3] = Tr::from_double(-0.0);
+    } else if (n >= 8 && season == Season::kNaNPayload) {
+      using Bits = typename Tr::bits_type;
+      const Bits canonical = Tr::to_bits(
+          Tr::from_double(std::numeric_limits<double>::quiet_NaN()));
+      const T nan = Tr::from_bits(static_cast<Bits>(canonical | Bits{1}));
+      v[n / 5] = nan;
+      v[n / 2] = nan;
     }
   }
   return v;
@@ -202,7 +213,8 @@ TYPED_TEST(KernelProperty, ScalarReferenceAlwaysRegistered) {
 template <typename T>
 void expect_mac_bit_identical(const KernelSet<T>& ks, const char* name) {
   const KernelSet<T>& ref = scalar_kernels<T>();
-  for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf}) {
+  for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf,
+                              Season::kNaNPayload}) {
     for (const ConvGeom& g : kConvGeoms) {
       const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
       const auto w = awkward<T>(g.out_c * g.steps(), 23, season);

@@ -13,6 +13,7 @@
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fit/fit.h"
 #include "dnnfi/mitigate/sed.h"
+#include "temp_path.h"
 
 namespace dnnfi {
 namespace {
@@ -138,7 +139,7 @@ TEST(TableIo, WriteCsvCreatesDirectoryAndFile) {
   t.header({"a"});
   t.row({"1"});
   const auto dir =
-      (std::filesystem::temp_directory_path() / "dnnfi_csv_test").string();
+      testutil::temp_path("dnnfi_csv_test").string();
   std::filesystem::remove_all(dir);
   const std::string path = t.write_csv(dir, "x");
   EXPECT_TRUE(std::filesystem::exists(path));

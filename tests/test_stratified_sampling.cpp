@@ -10,8 +10,6 @@
 //    across kill/resume/merge boundaries, exactly like the uniform shards.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <filesystem>
 #include <set>
@@ -25,6 +23,7 @@
 #include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/fault/stats_io.h"
 #include "dnnfi/fault/strata.h"
+#include "temp_path.h"
 
 namespace dnnfi::fault {
 namespace {
@@ -67,9 +66,7 @@ Campaign tiny_campaign(DType dt) {
 }
 
 std::string temp_path(const std::string& stem) {
-  return (std::filesystem::temp_directory_path() /
-          ("dnnfi_test_" + stem + "_" + std::to_string(::getpid()) + ".ckpt"))
-      .string();
+  return testutil::temp_path("dnnfi_test_" + stem + ".ckpt").string();
 }
 
 struct TempFile {

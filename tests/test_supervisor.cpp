@@ -24,6 +24,7 @@
 
 #include "dnnfi/common/error.h"
 #include "dnnfi/fault/checkpoint.h"
+#include "temp_path.h"
 
 namespace dnnfi {
 namespace {
@@ -64,11 +65,10 @@ int run_tool(const std::string& args, const std::string& env = "",
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("dnnfi_test_supervisor_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = testutil::temp_path("dnnfi_test_supervisor_" +
+                               std::string(::testing::UnitTest::GetInstance()
+                                               ->current_test_info()
+                                               ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
